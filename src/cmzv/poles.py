@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Sequence
 
 from .errors import CapacityError, DomainError
@@ -85,8 +84,12 @@ def pole_hyperplanes(r: int, k_max: int) -> frozenset[Hyperplane]:
 
     Union over every permutation sigma of 1..r, every prefix length i, and
     every k in 1..k_max of the plane with coefficients perm_min_sequence(sigma)[:i]
-    and constant (i+1)-k.  Identical planes from different permutations are
-    deduplicated.
+    and constant (i+1)-k.  The distinct prefixes are listed directly instead
+    of through the r! permutations: they are exactly the non-increasing
+    positive sequences with m_t <= r - t + 1.  (The first t entries of a
+    permutation are t distinct values, so their minimum is at most
+    r - t + 1; and any such sequence is realised by placing m_t at step t
+    where the minimum drops, and an unused larger value where it does not.)
     """
     if r < 1:
         raise DomainError(f"depth must be >= 1, got {r}")
@@ -94,12 +97,12 @@ def pole_hyperplanes(r: int, k_max: int) -> frozenset[Hyperplane]:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     if r > _MAX_R:
         raise CapacityError(f"depth {r} exceeds the permutation enumeration cap {_MAX_R}")
-    out = set()
-    for sigma in permutations(range(1, r + 1)):
-        mins = perm_min_sequence(sigma)
-        for i in range(1, r + 1):
-            for k in range(1, k_max + 1):
-                out.add(Hyperplane(mins[:i], (i + 1) - k))
+    out = []
+    prefixes = [(m,) for m in range(1, r + 1)]
+    while prefixes:
+        for mins in prefixes:
+            out.extend(Hyperplane(mins, len(mins) + 1 - k) for k in range(1, k_max + 1))
+        prefixes = [p + (m,) for p in prefixes for m in range(1, min(p[-1], r - len(p)) + 1)]
     return frozenset(out)
 
 

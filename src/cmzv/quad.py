@@ -307,13 +307,16 @@ def default_tolerance(depth: int) -> float:
 
 
 _cache: dict[tuple, tuple[float, NumericResult]] = {}
+_cube_cache: dict[int, tuple[float, NumericResult]] = {}
 _cache_lock = threading.Lock()
 
 
 def clear_caches() -> None:
-    """Drop memoized numeric results (mainly for benchmarking in tests)."""
+    """Drop memoized numeric results, semi-infinite and unit-cube alike
+    (mainly for benchmarking in tests)."""
     with _cache_lock:
         _cache.clear()
+        _cube_cache.clear()
 
 
 def _as_target(target: ShiftedCMZV | Composition | Sequence[int]) -> ShiftedCMZV:
@@ -354,8 +357,12 @@ def eval_numeric(
     if hit is not None and hit[0] <= tol:
         return hit[1]
 
+    try:
+        float_bounds = [float(b) for b in t.bounds]
+    except OverflowError:
+        raise DomainError("a lower bound exceeds the float range of the numeric route") from None
     stats = _Stats()
-    value, err = _eval_semi_infinite(k, [float(b) for b in t.bounds], tol, stats)
+    value, err = _eval_semi_infinite(k, float_bounds, tol, stats)
     result = NumericResult(
         value, err, stats.evaluations, (not stats.exhausted) and err <= tol
     )
@@ -364,9 +371,6 @@ def eval_numeric(
         if prev is None or tol < prev[0]:
             _cache[key] = (tol, result)
     return result
-
-
-_cube_cache: dict[int, tuple[float, NumericResult]] = {}
 
 
 def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) -> NumericResult:

@@ -41,6 +41,7 @@ depth-r input always satisfy sum(m_i) = r.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -205,20 +206,102 @@ class SymbolicConstant:
         }
 
 
+# Trial division covers factors below this; larger cofactors go to
+# Miller-Rabin and Pollard-Brent rho, so a large prime bound cannot hang.
+_TRIAL_LIMIT = 1000
+# Miller-Rabin witnesses: exact for every n below 3317044064679887385961981,
+# the least composite that passes all of them.  A larger cofactor that
+# passes is taken to be prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Pollard-Brent iterations allowed per cofactor before giving up.
+_RHO_STEPS = 1 << 20
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over _MR_BASES, for odd n with no factor below _TRIAL_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n by Pollard-Brent rho."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+            steps += r
+            if g == 1 and steps > _RHO_STEPS:
+                raise CapacityError(
+                    f"no factor of a {n.bit_length()}-bit cofactor found within {_RHO_STEPS} rho steps"
+                )
+        if g == n:
+            # the batched product overshot: retrace the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    """Prime factorisation {p: multiplicity} of the positive integer n."""
+    out: dict[int, int] = {}
+    d = 2
+    while d < _TRIAL_LIMIT and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n == 1:
+        return out
+    if d * d > n:
+        out[n] = out.get(n, 0) + 1
+        return out
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            pending += [f, m // f]
+    return out
+
+
 def _factored_log(value: Fraction) -> list[tuple[int, Fraction]]:
     """log(value) as a Z-combination of logs of primes; value must be > 0."""
     if value <= 0:
         raise DomainError(f"log argument must be positive, got {value}")
     out: dict[int, Fraction] = {}
     for n, sign in ((value.numerator, 1), (value.denominator, -1)):
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                out[d] = out.get(d, Fraction(0)) + sign
-                n //= d
-            d += 1
-        if n > 1:
-            out[n] = out.get(n, Fraction(0)) + sign
+        for p, mult in _prime_factors(n).items():
+            out[p] = out.get(p, Fraction(0)) + sign * mult
     return list(out.items())
 
 
@@ -481,6 +564,30 @@ def _split_multi_factor(t: GenTerm) -> tuple[list[GenTerm], SymbolicConstant]:
     return out, SymbolicConstant()
 
 
+def _rewrite(t: GenTerm) -> tuple[Sequence[GenTerm], SymbolicConstant]:
+    """One rewrite of t: (terms still to reduce, constant resolved now).
+
+    Terms that are already rationals, depth-1 powers or basis generators
+    resolve completely; otherwise a multi-factor index is split, or the
+    leftmost exponent >= 2 is integrated by parts.
+    """
+    s = t.depth
+    if s == 0:
+        return (), SymbolicConstant(t.coeff)
+    exps = t.pure_exponents()
+    if exps is None:
+        return _split_multi_factor(t)
+    if s == 1:
+        k = exps[0]
+        if k < 2:
+            raise RewriteError(f"divergent depth-1 term with exponent {k}")
+        return (), SymbolicConstant(t.coeff * t.bounds[0] ** (1 - k) / (k - 1))
+    if s >= 3 and exps == (1,) * (s - 1) + (2,):
+        return (), SymbolicConstant(0, (), [(t.bounds, t.coeff)])
+    p = next(i for i, k in enumerate(exps, start=1) if k >= 2)
+    return _ibp_at(t, p), SymbolicConstant()
+
+
 def reduce_to_basis(
     c: Composition,
     bounds: Sequence[Fraction | int] | None = None,
@@ -492,7 +599,10 @@ def reduce_to_basis(
 
     Rewrites by integration by parts at the leftmost exponent >= 2 until
     every term is rational, a prime log, or an all-ones-then-2 generator of
-    depth >= 3.  The step budget bounds the number of terms processed.
+    depth >= 3.  Like terms are merged: each distinct (bounds, factors) term
+    is rewritten once, with unit coefficient, and its value is reused by
+    every term that produces it, scaled by that term's coefficient.  The
+    step budget bounds the number of distinct terms rewritten.
     """
     if not isinstance(c, Composition):
         c = Composition(c)
@@ -508,50 +618,53 @@ def reduce_to_basis(
     if hit is not None:
         return hit
 
-    rational = Fraction(0)
-    logs: dict[int, Fraction] = {}
-    basis: dict[tuple[Fraction, ...], Fraction] = {}
-    budget = step_budget
-    stack = [initial]
-
-    def accumulate(sc: SymbolicConstant) -> None:
-        nonlocal rational
-        rational += sc.rational
-        for p, q in sc.logs:
-            logs[p] = logs.get(p, Fraction(0)) + q
-        for ids, q in sc.basis:
-            basis[ids] = basis.get(ids, Fraction(0)) + q
-
+    # Post-order over the DAG of distinct terms.  A stack entry is
+    # [key, term, rewrite]; on the first visit the term is rewritten and the
+    # terms it produced are pushed above it, so by the second visit every
+    # one of them has a value.  A term produced twice is rewritten once: its
+    # second entry finds the value already there.  A rewrite that reproduced
+    # an unfinished term would rewrite it again, so the step budget also
+    # stops any cycle.
+    values: dict[tuple, SymbolicConstant] = {}
+    rewrites = 0
+    root = (initial.bounds, initial.factors)
+    stack = [[root, initial, None]]
     while stack:
-        t = stack.pop()
-        if t.coeff == 0:
+        entry = stack[-1]
+        tkey, t, node = entry
+        if node is None:
+            if tkey in values:
+                stack.pop()
+                continue
+            rewrites += 1
+            if rewrites > step_budget:
+                raise CapacityError(f"step budget {step_budget} exhausted reducing {c}")
+            unit = t if t.coeff == 1 else GenTerm(1, t.bounds, t.factors)
+            kept, resolved = _rewrite(unit)
+            children = [[(u.bounds, u.factors), u, None] for u in kept]
+            entry[2] = node = (children, resolved)
+            if children:
+                stack.extend(children)
+                continue
+        stack.pop()
+        children, resolved = node
+        if not children:
+            values[tkey] = resolved
             continue
-        budget -= 1
-        if budget < 0:
-            raise CapacityError(f"step budget {step_budget} exhausted reducing {c}")
-        s = t.depth
-        if s == 0:
-            rational += t.coeff
-            continue
-        exps = t.pure_exponents()
-        if exps is None:
-            kept, resolved = _split_multi_factor(t)
-            accumulate(resolved)
-            stack.extend(kept)
-            continue
-        if s == 1:
-            k = exps[0]
-            if k < 2:
-                raise RewriteError(f"divergent depth-1 term with exponent {k}")
-            rational += t.coeff * t.bounds[0] ** (1 - k) / (k - 1)
-            continue
-        if s >= 3 and exps == (1,) * (s - 1) + (2,):
-            basis[t.bounds] = basis.get(t.bounds, Fraction(0)) + t.coeff
-            continue
-        p = next(i for i, k in enumerate(exps, start=1) if k >= 2)
-        stack.extend(_ibp_at(t, p))
+        rational = resolved.rational
+        logs = dict(resolved.logs)
+        basis = dict(resolved.basis)
+        for ukey, u, _ in children:
+            sc = values[ukey]
+            q = u.coeff
+            rational += q * sc.rational
+            for p, x in sc.logs:
+                logs[p] = logs.get(p, 0) + q * x
+            for ids, x in sc.basis:
+                basis[ids] = basis.get(ids, 0) + q * x
+        values[tkey] = SymbolicConstant(rational, logs, basis)
 
-    result = SymbolicConstant(rational, logs, basis)
+    result = values[root]
     with _reduce_lock:
         _REDUCE_CACHE[key] = result
     return result

@@ -248,7 +248,7 @@ def run_suite(
         elif n == "embedding":
             checks.extend(suite_embedding(mw, t, depth_cap))
         elif n == "unitcube":
-            checks.extend(suite_unitcube(min(mw, 4), t, depth_cap))
+            checks.extend(suite_unitcube(min(mw, 4, depth_cap), t, depth_cap))
         elif n == "bounds":
             checks.extend(suite_bounds(mw, t, depth_cap))
         else:

@@ -62,6 +62,11 @@ def test_eval_with_bounds(capsys):
     assert abs(payload["value"] - math.log(2.5) / 3.0) < 1e-8
 
 
+def test_eval_bounds_beyond_float_range_is_usage_error(capsys):
+    assert main(["eval", "1,2", "--bounds", "1e400,1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_eval_non_admissible_is_usage_error(capsys):
     assert main(["eval", "2,1"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -115,6 +120,22 @@ def test_reduce_step_budget_exhaustion(capsys):
     # fresh bounds keep the memo cache out of the way
     assert main(["reduce", "2,2,2", "--bounds", "3,1,1", "--step-budget", "1"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_reduce_large_prime_bound_finishes():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmzv", "reduce", "1,2", "--bounds", "1000000000000000003,1"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert "log 1000000000000000003" in proc.stdout
+
+
+def test_reduce_weight_nine_depth_five_at_default_budget(capsys):
+    assert main(["reduce", "4,1,1,1,2", "--tol", "1e-2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"]["2,1,1,1"] == "2/3"
 
 
 def test_reduce_rejects_zero_step_budget(capsys):
@@ -204,6 +225,11 @@ def test_verify_json_shape(capsys):
     assert payload["ok"] is True
     assert payload["passed"] == payload["total"] > 0
     assert all({"suite", "name", "passed", "detail"} <= set(r) for r in payload["results"])
+
+
+def test_verify_unitcube_respects_depth_cap(capsys):
+    assert main(["verify", "unitcube", "--depth-cap", "3"]) == 0
+    assert "2/2 checks passed" in capsys.readouterr().out
 
 
 def test_verify_rejects_unknown_suite():

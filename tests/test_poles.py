@@ -141,6 +141,19 @@ def test_pole_hyperplanes_argument_validation():
         pole_hyperplanes(9, 1)
 
 
+def test_pole_hyperplanes_equal_the_permutation_union():
+    # reference: the union over every permutation, as the definition reads
+    for r in range(1, 7):
+        for k_max in range(1, 4):
+            expected = {
+                Hyperplane(perm_min_sequence(sigma)[:i], (i + 1) - k)
+                for sigma in permutations(range(1, r + 1))
+                for i in range(1, r + 1)
+                for k in range(1, k_max + 1)
+            }
+            assert pole_hyperplanes(r, k_max) == expected, (r, k_max)
+
+
 def test_pole_hyperplanes_monotone_in_kmax():
     small = pole_hyperplanes(3, 2)
     large = pole_hyperplanes(3, 5)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cmzv import quad
 from cmzv.compositions import Composition, admissible_compositions, convergence_bound
 from cmzv.errors import CapacityError, DivergenceError, DomainError
 from cmzv.quad import (
@@ -133,6 +134,14 @@ def test_cache_returns_consistent_results():
     # looser request is served from the tighter cached result
     c = eval_numeric(Composition((1, 1, 2)), tol=1e-6)
     assert c.value == a.value
+
+
+def test_clear_caches_empties_both_memos():
+    eval_numeric(Composition((1, 1, 2)), tol=1e-6)
+    eval_unit_cube_ones(3, tol=1e-6)
+    quad.clear_caches()
+    assert len(quad._cache) == 0
+    assert len(quad._cube_cache) == 0
 
 
 def test_integrate_semi_infinite_basics():

@@ -27,6 +27,7 @@ from cmzv import (
     partial_fractions,
     reduce_to_basis,
 )
+from cmzv.reduce import _factored_log, _ibp_at, _split_multi_factor, clear_caches
 
 F = Fraction
 
@@ -364,6 +365,63 @@ def test_reduce_depth_cap():
         reduce_to_basis(Composition((1,) * 6 + (2,)), depth_cap=6)
 
 
+def plain_stack_reduce(c, bounds=None):
+    """Reference reduction: the same rewrite rules expanded on a plain stack,
+    every produced term kept separately, with no merging of like terms."""
+    rational = F(0)
+    logs, basis = {}, {}
+    stack = [GenTerm.from_composition(Composition(c), bounds)]
+    while stack:
+        t = stack.pop()
+        if t.coeff == 0:
+            continue
+        s = t.depth
+        if s == 0:
+            rational += t.coeff
+            continue
+        exps = t.pure_exponents()
+        if exps is None:
+            kept, resolved = _split_multi_factor(t)
+            rational += resolved.rational
+            for p, q in resolved.logs:
+                logs[p] = logs.get(p, F(0)) + q
+            for ids, q in resolved.basis:
+                basis[ids] = basis.get(ids, F(0)) + q
+            stack.extend(kept)
+            continue
+        if s == 1:
+            rational += t.coeff * t.bounds[0] ** (1 - exps[0]) / (exps[0] - 1)
+            continue
+        if s >= 3 and exps == (1,) * (s - 1) + (2,):
+            basis[t.bounds] = basis.get(t.bounds, F(0)) + t.coeff
+            continue
+        p = next(i for i, k in enumerate(exps, start=1) if k >= 2)
+        stack.extend(_ibp_at(t, p))
+    return SymbolicConstant(rational, logs, basis)
+
+
+def test_reduce_equals_plain_stack_reference():
+    # exact arithmetic on both sides, so the constants must be identical;
+    # the memo is emptied afterwards so that later budget tests stay cold
+    for c in admissible_upto(7):
+        assert reduce_to_basis(c) == plain_stack_reduce(c), c
+    shifted = [((2, 2, 2), (F(17, 5), 1, 1)), ((1, 2), (F(1, 2), 3))]
+    shifted += [((1, 2), (m1, m2)) for m1 in range(1, 4) for m2 in range(1, 4)]
+    for parts, bounds in shifted:
+        got = reduce_to_basis(Composition(parts), bounds=bounds)
+        assert got == plain_stack_reduce(parts, bounds), (parts, bounds)
+    clear_caches()
+
+
+def test_reduce_weight_nine_within_budget():
+    # the plain stack takes over 10,000 terms (the default budget) for each
+    # of these, but merged each needs fewer than 200 distinct terms
+    clear_caches()
+    for parts in [(4, 1, 1, 1, 2), (5, 1, 1, 2), (4, 2, 1, 2)]:
+        got = reduce_to_basis(Composition(parts), step_budget=200)
+        assert got == plain_stack_reduce(parts), parts
+
+
 def test_reduce_step_budget_exhaustion():
     # bounds chosen to dodge the memo cache, which is consulted first
     with pytest.raises(CapacityError):
@@ -386,6 +444,17 @@ def test_reduce_random_shifted_against_quadrature():
         sym = reduce_to_basis(c, bounds=bounds).evaluate(basis_num)
         num = eval_numeric(ShiftedCMZV(bounds, c), tol=1e-10).value
         assert abs(sym - num) < 1e-8, (parts, bounds)
+
+
+def test_factored_log_large_prime_and_composites():
+    p, q = 1000000000000000003, 1000000007
+    assert _factored_log(F(p)) == [(p, F(1))]
+    assert dict(_factored_log(F(p + 1))) == {2: 2, 1801: 1, 246809: 1, 562425889: 1}
+    assert dict(_factored_log(F(q * q * 998244353, 12))) == {q: 2, 998244353: 1, 2: -2, 3: -1}
+    # keyed by prime: log(p q^2) = log p + 2 log q however it is reached
+    assert SymbolicConstant(0, _factored_log(F(p * q * q))) == SymbolicConstant(
+        0, {p: F(1), q: F(2)}
+    )
 
 
 # -------------------------------------------------------------- derived maps
