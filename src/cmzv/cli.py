@@ -25,7 +25,7 @@ from .compositions import Composition
 from .errors import CmzvError
 from .etaspace import sum_formula_lhs_terms, sum_formula_rhs
 from .poles import pole_hyperplanes
-from .quad import ShiftedCMZV, eval_numeric
+from .quad import ShiftedCMZV, eval_basis_generator, eval_numeric, verify_identity
 from .reduce import SymbolicConstant, reduce_to_basis
 from .shuffle import FormalWordSum, shuffle
 from .verify import SUITES, run_suite
@@ -157,14 +157,10 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
     comp = _parse_composition(args.composition)
     bounds = _parse_bounds(args.bounds) if args.bounds else None
     sc = reduce_to_basis(comp, bounds, step_budget=cfg.step_budget, depth_cap=cfg.depth_cap)
-
-    def basis_value(ids):
-        exps = Composition((1,) * (len(ids) - 1) + (2,))
-        return eval_numeric(ShiftedCMZV(ids, exps), tol=cfg.tolerance, depth_cap=cfg.depth_cap).value
-
     target = ShiftedCMZV(bounds, comp) if bounds else comp
     num = eval_numeric(target, tol=cfg.tolerance, depth_cap=cfg.depth_cap)
-    residual = abs(sc.evaluate(basis_value) - num.value)
+    symbolic = sc.evaluate(lambda ids: eval_basis_generator(ids, cfg.tolerance, cfg.depth_cap).value)
+    residual = abs(symbolic - num.value)
     rows = [
         ("symbolic", render_symbolic(sc)),
         ("numeric", f"{num.value:.15g}"),
@@ -194,19 +190,12 @@ def cmd_shuffle(args, cfg: RunConfig) -> int:
 def cmd_sumformula(args, cfg: RunConfig) -> int:
     r, k = args.depth, args.weight
     rhs = sum_formula_rhs(r, k)
-    terms = sum_formula_lhs_terms(r, k)
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
-    mass = float(sum(abs(w) for _, w in terms)) or 1.0
-    lhs = 0.0
-    evals = 0
-    for comp, weight in terms:
-        if weight == 0:
-            continue
-        res = eval_numeric(comp, tol=tol / (2.0 * mass), depth_cap=cfg.depth_cap)
-        lhs += float(weight) * res.value
-        evals += res.evaluations
-    diff = abs(lhs - float(rhs))
-    passed = diff <= tol
+    check = verify_identity(
+        sum_formula_lhs_terms(r, k), rhs_constant=rhs, tol=tol, depth_cap=cfg.depth_cap
+    )
+    lhs, diff = check["lhs_value"], check["difference"]
+    passed, converged = check["passed"], check["converged"]
     rows = [
         ("depth", r),
         ("weight", k),
@@ -216,6 +205,7 @@ def cmd_sumformula(args, cfg: RunConfig) -> int:
         ("difference", f"{diff:.3e}"),
         ("tolerance", f"{tol:.1e}"),
         ("passed", passed),
+        ("converged", converged),
     ]
     payload = {
         "depth": r,
@@ -226,9 +216,12 @@ def cmd_sumformula(args, cfg: RunConfig) -> int:
         "difference": diff,
         "tolerance": tol,
         "passed": passed,
-        "evaluations": evals,
+        "converged": converged,
+        "evaluations": check["evaluations"],
     }
     _emit(cfg.fmt, rows, payload)
+    if not converged:
+        return 3
     return 0 if passed else 1
 
 

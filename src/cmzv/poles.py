@@ -21,6 +21,7 @@ from typing import Sequence
 from .errors import CapacityError, DomainError
 
 _MAX_R = 8  # r! permutations; factorial growth cap
+_MAX_PLANES = 10**6  # cap on prefixes * k_max, checked before any plane is built
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,8 @@ def pole_hyperplanes(r: int, k_max: int) -> frozenset[Hyperplane]:
     permutation are t distinct values, so their minimum is at most
     r - t + 1; and any such sequence is realised by placing m_t at step t
     where the minimum drops, and an unused larger value where it does not.)
+    The prefixes are counted first: more than _MAX_PLANES planes raise
+    CapacityError before any is built.
     """
     if r < 1:
         raise DomainError(f"depth must be >= 1, got {r}")
@@ -97,13 +100,18 @@ def pole_hyperplanes(r: int, k_max: int) -> frozenset[Hyperplane]:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     if r > _MAX_R:
         raise CapacityError(f"depth {r} exceeds the permutation enumeration cap {_MAX_R}")
-    out = []
-    prefixes = [(m,) for m in range(1, r + 1)]
-    while prefixes:
-        for mins in prefixes:
-            out.extend(Hyperplane(mins, len(mins) + 1 - k) for k in range(1, k_max + 1))
-        prefixes = [p + (m,) for p in prefixes for m in range(1, min(p[-1], r - len(p)) + 1)]
-    return frozenset(out)
+    prefixes = []
+    level = [(m,) for m in range(1, r + 1)]
+    while level:
+        prefixes += level
+        level = [p + (m,) for p in level for m in range(1, min(p[-1], r - len(p)) + 1)]
+    if len(prefixes) * k_max > _MAX_PLANES:
+        raise CapacityError(
+            f"{len(prefixes)} prefixes times k_max {k_max} exceeds the plane cap {_MAX_PLANES}"
+        )
+    return frozenset(
+        Hyperplane(mins, len(mins) + 1 - k) for mins in prefixes for k in range(1, k_max + 1)
+    )
 
 
 def depth1_value(s):

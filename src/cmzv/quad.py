@@ -1,13 +1,17 @@
 """Numeric evaluation of iterated tail integrals by nested adaptive quadrature.
 
-The depth-r integral over prod_i [m_i, oo) of
-1 / (x_1^{k_1} (x_1+x_2)^{k_2} ... (x_1+...+x_r)^{k_r}) is computed by:
+One engine, `_nested`, integrates over the unit cube (0, 1)^d by nesting one
+adaptive Gauss-Kronrod (G7/K15) integrator per dimension.  Two integrands
+feed it:
 
-  * integrating the innermost variable analytically,
+  * the semi-infinite form.  The depth-r integral over prod_i [m_i, oo) of
+    1 / (x_1^{k_1} (x_1+x_2)^{k_2} ... (x_1+...+x_r)^{k_r}) integrates the
+    innermost variable analytically,
         int_{m_r}^oo (T + x_r)^{-k_r} dx_r = (T + m_r)^(1-k_r) / (k_r - 1),
-  * mapping each remaining half-line to the unit interval with
-        x = m + t/(1-t),  dx = dt/(1-t)^2,
-  * nesting one adaptive Gauss-Kronrod (G7/K15) integrator per dimension.
+    and maps each remaining half-line to the unit interval with
+        x = m + t/(1-t),  dx = dt/(1-t)^2;
+  * the unit-cube form of zeta(1, ..., 1, 2), whose integrand
+    1 / (1 + y_1 + y_1 y_2 + ...) already lives on (0, 1)^(r-1).
 
 Error accounting is deliberately simple and auditable: each panel's own error
 is the rule difference |K15 - G7| (scaled by the usual (200d)^1.5 sharpening),
@@ -15,8 +19,9 @@ panels are summed without cancellation, and every inner integral's error
 estimate is integrated alongside its value through the positive Kronrod
 weights, so uncertainty propagates outward conservatively.  The per-level
 budget splits the requested tolerance as tol/2 for the outermost level and
-tol/(2*(r-1)) for each inner level.  Results that miss their budget are
-flagged converged=False, never silently truncated.
+tol/(2*d) for each inner level.  Results that miss their budget are
+flagged converged=False, never silently truncated.  Both forms share one
+memo.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -231,74 +236,53 @@ def _adaptive_unit(
     return value, total_own, inherited, exhausted
 
 
-def _level_budgets(tol: float, dims: int) -> list[float]:
-    if dims == 1:
-        return [0.5 * tol]
-    return [0.5 * tol] + [0.5 * tol / dims] * (dims - 1)
+def _nested(
+    dims: int, tol: float, step: Callable, leaf: Callable, state
+) -> tuple[float, float, int, bool]:
+    """Nested adaptive quadrature over (0, 1)^dims, one _adaptive_unit per dimension.
 
+    Level j integrates over its node t from a state handed down by the level
+    above, starting from `state` at level 0.  Above the innermost level,
+    step(j, state, ts) lists one (child state, weight) pair per node; the
+    node's value is weight * (level j+1 at the child state), and its error is
+    weight * (that level's own + inherited error).  The innermost level
+    integrates the vectorized leaf(state, ts) directly.  The outermost level
+    gets tol/2, each inner level tol/(2*dims), also as a relative stop.
 
-def _eval_semi_infinite(
-    kparts: Sequence[int], bounds: Sequence[float], tol: float, stats: _Stats
-) -> tuple[float, float]:
-    """Nested evaluation; returns (value, conservative error estimate)."""
-    r = len(kparts)
-    dims = r - 1
-    budgets = _level_budgets(tol, dims)
-    k_last = float(kparts[-1])
-    m_last = bounds[-1]
-    tail_scale = 1.0 / (k_last - 1.0)
+    Returns (value, error, evaluations, exhausted).
+    """
+    stats = _Stats()
+    inner_tol = 0.5 * tol / dims
 
-    def make_level(j: int, inner: Callable[[float], tuple[float, float]] | None):
-        kj = float(kparts[j])
-        mj = bounds[j]
-        budget = budgets[j]
+    def level(j: int, state) -> tuple[float, float]:
+        budget = 0.5 * tol if j == 0 else inner_tol
         rel = float("inf") if j == 0 else budget
+        if j == dims - 1:
 
-        if inner is None:
-            # Innermost quadrature dimension: the x_r integral is analytic, so
-            # the integrand is closed-form and vectorizes over the nodes.
-            def level(T: float) -> tuple[float, float]:
-                def integrand(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                    one_minus = 1.0 - ts
-                    u = T + mj + ts / one_minus
-                    jac = 1.0 / (one_minus * one_minus)
-                    vals = u ** (-kj) * (tail_scale * (u + m_last) ** (1.0 - k_last)) * jac
-                    stats.evaluations += ts.size
-                    return vals, np.zeros_like(vals)
-
-                val, own, inh, exhausted = _adaptive_unit(integrand, budget, rel)
-                if exhausted:
-                    stats.exhausted = True
-                return val, own + inh
+            def integrand(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                stats.evaluations += ts.size
+                vals = leaf(state, ts)
+                return vals, np.zeros_like(vals)
 
         else:
 
-            def level(T: float) -> tuple[float, float]:
-                def integrand(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                    one_minus = 1.0 - ts
-                    u = T + mj + ts / one_minus
-                    jac = 1.0 / (one_minus * one_minus)
-                    vals = np.empty_like(ts)
-                    errs = np.empty_like(ts)
-                    for i in range(ts.size):
-                        sub_val, sub_err = inner(u[i])
-                        w = u[i] ** (-kj) * jac[i]
-                        vals[i] = w * sub_val
-                        errs[i] = w * sub_err
-                    stats.evaluations += ts.size
-                    return vals, errs
+            def integrand(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                vals = []
+                errs = []
+                for child, w in step(j, state, ts):
+                    sub_val, sub_err = level(j + 1, child)
+                    vals.append(w * sub_val)
+                    errs.append(w * sub_err)
+                stats.evaluations += ts.size
+                return np.array(vals), np.array(errs)
 
-                val, own, inh, exhausted = _adaptive_unit(integrand, budget, rel)
-                if exhausted:
-                    stats.exhausted = True
-                return val, own + inh
+        val, own, inh, exhausted = _adaptive_unit(integrand, budget, rel)
+        if exhausted:
+            stats.exhausted = True
+        return val, own + inh
 
-        return level
-
-    chain = None
-    for j in range(dims - 1, -1, -1):
-        chain = make_level(j, chain)
-    return chain(0.0)
+    value, err = level(0, state)
+    return value, err, stats.evaluations, stats.exhausted
 
 
 def default_tolerance(depth: int) -> float:
@@ -306,17 +290,34 @@ def default_tolerance(depth: int) -> float:
     return 1e-8 if depth <= 3 else 1e-5
 
 
+# One memo for both routes, keyed (bounds, parts) or ("cube", r); each entry
+# keeps the tightest tolerance computed so far and its result.
 _cache: dict[tuple, tuple[float, NumericResult]] = {}
-_cube_cache: dict[int, tuple[float, NumericResult]] = {}
 _cache_lock = threading.Lock()
 
 
 def clear_caches() -> None:
-    """Drop memoized numeric results, semi-infinite and unit-cube alike
-    (mainly for benchmarking in tests)."""
+    """Drop memoized numeric results (mainly for benchmarking in tests)."""
     with _cache_lock:
         _cache.clear()
-        _cube_cache.clear()
+
+
+def _memoized(
+    key: tuple, tol: float, dims: int, step: Callable, leaf: Callable, state
+) -> NumericResult:
+    """The memoized result for key if it was computed at tol or tighter,
+    else a fresh _nested run, stored if tol is the tightest seen."""
+    with _cache_lock:
+        hit = _cache.get(key)
+    if hit is not None and hit[0] <= tol:
+        return hit[1]
+    value, err, evaluations, exhausted = _nested(dims, tol, step, leaf, state)
+    result = NumericResult(value, err, evaluations, (not exhausted) and err <= tol)
+    with _cache_lock:
+        prev = _cache.get(key)
+        if prev is None or tol < prev[0]:
+            _cache[key] = (tol, result)
+    return result
 
 
 def _as_target(target: ShiftedCMZV | Composition | Sequence[int]) -> ShiftedCMZV:
@@ -351,26 +352,35 @@ def eval_numeric(
         exact = t.bounds[0] ** (1 - k[0]) / (k[0] - 1)
         return NumericResult(float(exact), 0.0, 0, True)
 
-    key = (t.bounds, k)
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None and hit[0] <= tol:
-        return hit[1]
-
     try:
-        float_bounds = [float(b) for b in t.bounds]
+        m = [float(b) for b in t.bounds]
     except OverflowError:
         raise DomainError("a lower bound exceeds the float range of the numeric route") from None
-    stats = _Stats()
-    value, err = _eval_semi_infinite(k, float_bounds, tol, stats)
-    result = NumericResult(
-        value, err, stats.evaluations, (not stats.exhausted) and err <= tol
-    )
-    with _cache_lock:
-        prev = _cache.get(key)
-        if prev is None or tol < prev[0]:
-            _cache[key] = (tol, result)
-    return result
+    kf = [float(kj) for kj in k]
+    # The innermost x_r integral is analytic:
+    #     int_{m_r}^oo (T + x_r)^{-k_r} dx_r = (T + m_r)^(1-k_r) / (k_r - 1).
+    tail_scale = 1.0 / (kf[-1] - 1.0)
+    k_in, m_in, k_last, m_last = kf[-2], m[-2], kf[-1], m[-1]
+
+    # Level j maps t to x_j = m_j + t/(1-t).  The state T is x_1 + ... +
+    # x_{j-1}, so the child state is u = T + x_j, weighted u^(-k_j) dx_j/dt.
+    # The weight's power is taken per node in scalar arithmetic: numpy's
+    # vectorized power takes shortcuts for some exponents (squaring for 2)
+    # that round differently.
+    def step(j: int, T: float, ts: np.ndarray) -> list:
+        one_minus = 1.0 - ts
+        u = (T + m[j] + ts / one_minus).tolist()
+        jac = (1.0 / (one_minus * one_minus)).tolist()
+        kj = kf[j]
+        return [(ui, ui ** (-kj) * jaci) for ui, jaci in zip(u, jac)]
+
+    def leaf(T: float, ts: np.ndarray) -> np.ndarray:
+        one_minus = 1.0 - ts
+        u = T + m_in + ts / one_minus
+        jac = 1.0 / (one_minus * one_minus)
+        return u ** (-k_in) * (tail_scale * (u + m_last) ** (1.0 - k_last)) * jac
+
+    return _memoized((t.bounds, k), tol, t.depth - 1, step, leaf, 0.0)
 
 
 def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) -> NumericResult:
@@ -391,65 +401,17 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) ->
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be positive, got {tol}")
 
-    with _cache_lock:
-        hit = _cube_cache.get(r)
-    if hit is not None and hit[0] <= tol:
-        return hit[1]
-
-    dims = r - 1
-    budgets = _level_budgets(tol, dims)
-    stats = _Stats()
-
     # Writing the denominator as 1 + y_1 (1 + y_2 (1 + ...)) gives the level
     # recursion A' = A + B*y, B' = B*y starting from A = B = 1.
-    def make_level(j: int, inner):
-        budget = budgets[j]
-        rel = float("inf") if j == 0 else budget
-        if inner is None:
+    def step(j: int, AB: tuple[float, float], ys: np.ndarray) -> list:
+        A, B = AB
+        return [((A + B * y, B * y), 1.0) for y in ys.tolist()]
 
-            def level(A: float, B: float) -> tuple[float, float]:
-                def integrand(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                    stats.evaluations += ys.size
-                    vals = 1.0 / (A + B * ys)
-                    return vals, np.zeros_like(vals)
+    def leaf(AB: tuple[float, float], ys: np.ndarray) -> np.ndarray:
+        A, B = AB
+        return 1.0 / (A + B * ys)
 
-                val, own, inh, exhausted = _adaptive_unit(integrand, budget, rel)
-                if exhausted:
-                    stats.exhausted = True
-                return val, own + inh
-
-        else:
-
-            def level(A: float, B: float) -> tuple[float, float]:
-                def integrand(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                    vals = np.empty_like(ys)
-                    errs = np.empty_like(ys)
-                    for i in range(ys.size):
-                        sub_val, sub_err = inner(A + B * ys[i], B * ys[i])
-                        vals[i] = sub_val
-                        errs[i] = sub_err
-                    stats.evaluations += ys.size
-                    return vals, errs
-
-                val, own, inh, exhausted = _adaptive_unit(integrand, budget, rel)
-                if exhausted:
-                    stats.exhausted = True
-                return val, own + inh
-
-        return level
-
-    chain = None
-    for j in range(dims - 1, -1, -1):
-        chain = make_level(j, chain)
-    value, err = chain(1.0, 1.0)
-    result = NumericResult(
-        value, err, stats.evaluations, (not stats.exhausted) and err <= tol
-    )
-    with _cache_lock:
-        prev = _cube_cache.get(r)
-        if prev is None or tol < prev[0]:
-            _cube_cache[r] = (tol, result)
-    return result
+    return _memoized(("cube", r), tol, r - 1, step, leaf, (1.0, 1.0))
 
 
 def integrate_semi_infinite(
@@ -476,6 +438,23 @@ def integrate_semi_infinite(
     return NumericResult(val, err, stats.evaluations, (not exhausted) and err <= tol)
 
 
+def eval_basis_generator(
+    ids: Sequence[Fraction | int], tol: float | None = None, depth_cap: int = 6
+) -> NumericResult:
+    """Numeric value of the basis generator B(ids) = zeta_{ids}(1, ..., 1, 2),
+    the tail integral with lower bounds ids and exponents (1, ..., 1, 2)."""
+    exps = Composition((1,) * (len(ids) - 1) + (2,))
+    return eval_numeric(ShiftedCMZV(ids, exps), tol=tol, depth_cap=depth_cap)
+
+
+def term_tolerance(tol: float, coefficients: Iterable[Fraction | int]) -> float:
+    """Per-term tolerance tol / (2 * max(sum |q|, 1)) for a sum of terms with
+    rational coefficients q: if every term is within it, the sum is within
+    tol/2."""
+    mass = sum(abs(q) for q in coefficients)
+    return tol / (2.0 * float(max(mass, 1)))
+
+
 def verify_identity(
     lhs: Sequence[tuple[ShiftedCMZV | Composition | Sequence[int], Fraction | int]],
     rhs: Sequence[tuple[ShiftedCMZV | Composition | Sequence[int], Fraction | int]] = (),
@@ -485,23 +464,25 @@ def verify_identity(
 ) -> dict:
     """Numerically check sum(lhs) == sum(rhs) + rhs_constant.
 
-    Each side is a list of (target, rational coefficient) terms.  The
-    tolerance is split across terms in proportion to total coefficient mass,
-    so the reported difference is comparable against tol directly.
+    Each side is a list of (target, rational coefficient) terms; terms with
+    coefficient 0 are never evaluated.  The tolerance is split across terms
+    by term_tolerance, so the reported difference is comparable against tol
+    directly.
     """
     lhs_terms = [(_as_target(t), Fraction(q)) for t, q in lhs]
     rhs_terms = [(_as_target(t), Fraction(q)) for t, q in rhs]
     if tol is None:
         max_depth = max(t.depth for t, _ in lhs_terms + rhs_terms)
         tol = default_tolerance(max_depth)
-    mass = sum(abs(q) for _, q in lhs_terms + rhs_terms)
-    per_term = tol / (2.0 * float(max(mass, 1)))
+    per_term = term_tolerance(tol, (q for _, q in lhs_terms + rhs_terms))
 
     def side(terms: list[tuple[ShiftedCMZV, Fraction]]) -> tuple[float, bool, int]:
         total = 0.0
         ok = True
         evals = 0
         for t, q in terms:
+            if q == 0:
+                continue
             res = eval_numeric(t, per_term, depth_cap=depth_cap)
             total += float(q) * res.value
             ok = ok and res.converged

@@ -213,7 +213,9 @@ _TRIAL_LIMIT = 1000
 # the least composite that passes all of them.  A larger cofactor that
 # passes is taken to be prime.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Pollard-Brent iterations allowed per cofactor before giving up.
+# Pollard-Brent iterations allowed per cofactor of up to 128 bits before
+# giving up.  A step costs a multiplication modulo the cofactor, so beyond
+# 128 bits the cap shrinks by (128/bits)^2 to keep the work bounded.
 _RHO_STEPS = 1 << 20
 
 
@@ -238,6 +240,8 @@ def _is_prime(n: int) -> bool:
 
 def _rho_factor(n: int) -> int:
     """A proper factor of the odd composite n by Pollard-Brent rho."""
+    bits = n.bit_length()
+    cap = _RHO_STEPS if bits <= 128 else _RHO_STEPS * 128 * 128 // (bits * bits)
     steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
@@ -255,10 +259,8 @@ def _rho_factor(n: int) -> int:
                 k += 128
             r *= 2
             steps += r
-            if g == 1 and steps > _RHO_STEPS:
-                raise CapacityError(
-                    f"no factor of a {n.bit_length()}-bit cofactor found within {_RHO_STEPS} rho steps"
-                )
+            if g == 1 and steps > cap:
+                raise CapacityError(f"no factor of a {bits}-bit cofactor found within {cap} rho steps")
         if g == n:
             # the batched product overshot: retrace the last batch one step at a time
             g = 1

@@ -30,7 +30,14 @@ from .compositions import (
     word_from_composition,
 )
 from .errors import DomainError
-from .quad import ShiftedCMZV, default_tolerance, eval_numeric, eval_unit_cube_ones
+from .quad import (
+    ShiftedCMZV,
+    default_tolerance,
+    eval_basis_generator,
+    eval_numeric,
+    eval_unit_cube_ones,
+    term_tolerance,
+)
 from .reduce import basis_ids, reduce_to_basis
 from .shuffle import shuffle, z_map
 
@@ -55,21 +62,6 @@ def _admissible_words(max_weight: int) -> list[str]:
     return out
 
 
-def _value_of_image(image, per_term_tol: float, depth_cap: int) -> float:
-    total = float(image.constant)
-    for comp, coeff in image:
-        total += float(coeff) * eval_numeric(comp, tol=per_term_tol, depth_cap=depth_cap).value
-    return total
-
-
-def _basis_evaluator(tol: float, depth_cap: int):
-    def evaluate(ids) -> float:
-        exps = Composition((1,) * (len(ids) - 1) + (2,))
-        return eval_numeric(ShiftedCMZV(ids, exps), tol=tol, depth_cap=depth_cap).value
-
-    return evaluate
-
-
 def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = 6) -> list:
     """Numeric product rule for every unordered pair of admissible words with
     total weight <= max_weight."""
@@ -85,8 +77,10 @@ def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = 6) ->
     def run(pair):
         w1, w2 = pair
         image = z_map(shuffle(w1, w2))
-        mass = float(sum(abs(q) for _, q in image)) or 1.0
-        lhs = _value_of_image(image, tol / (2.0 * mass), depth_cap)
+        per_term = term_tolerance(tol, (q for _, q in image))
+        lhs = float(image.constant)
+        for c, q in image:
+            lhs += float(q) * eval_numeric(c, tol=per_term, depth_cap=depth_cap).value
         rhs = (
             eval_numeric(composition_from_word(w1), tol=tol / 8.0, depth_cap=depth_cap).value
             * eval_numeric(composition_from_word(w2), tol=tol / 8.0, depth_cap=depth_cap).value
@@ -176,7 +170,7 @@ def suite_reduction(
     def run_comp(c):
         sc = reduce_to_basis(c, depth_cap=depth_cap)
         bad_ids = [ids for ids, _ in sc.basis if sum(ids) != c.depth or any(m != int(m) for m in ids)]
-        sym = sc.evaluate(_basis_evaluator(basis_tol, depth_cap))
+        sym = sc.evaluate(lambda ids: eval_basis_generator(ids, basis_tol, depth_cap).value)
         num = eval_numeric(c, tol=tol / 4.0, depth_cap=depth_cap).value
         diff = abs(sym - num)
         ok = diff <= tol and not bad_ids

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -133,6 +134,18 @@ def test_reduce_large_prime_bound_finishes():
     assert "log 1000000000000000003" in proc.stdout
 
 
+def test_reduce_huge_bound_gives_up_promptly():
+    # the log argument 10^400 + 1 leaves a ~1200-bit cofactor for rho
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmzv", "reduce", "1,2", "--bounds", "1e400,1"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "rho steps" in proc.stderr
+
+
 def test_reduce_weight_nine_depth_five_at_default_budget(capsys):
     assert main(["reduce", "4,1,1,1,2", "--tol", "1e-2", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["basis"]["2,1,1,1"] == "2/3"
@@ -178,6 +191,20 @@ def test_sumformula_pass(capsys):
     assert payload["difference"] <= payload["tolerance"]
 
 
+def test_sumformula_reports_convergence(capsys):
+    assert main(["sumformula", "2", "4", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert ["converged", "True"] in rows
+
+
+def test_sumformula_nonconverged_exit_code(monkeypatch, capsys):
+    fake = NumericResult(0.25, 1e-2, 7, False)
+    monkeypatch.setattr("cmzv.quad.eval_numeric", lambda *a, **k: fake)
+    assert main(["sumformula", "2", "4", "--format", "json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is False
+
+
 def test_sumformula_domain_error(capsys):
     assert main(["sumformula", "2", "2"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -202,6 +229,13 @@ def test_poles_json(capsys):
 def test_poles_capacity(capsys):
     assert main(["poles", "9", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_poles_huge_k_max_is_capped_before_building(capsys):
+    start = time.perf_counter()
+    assert main(["poles", "8", "1000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "cap" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- verify

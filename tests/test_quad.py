@@ -14,9 +14,11 @@ from cmzv.quad import (
     NumericResult,
     ShiftedCMZV,
     default_tolerance,
+    eval_basis_generator,
     eval_numeric,
     eval_unit_cube_ones,
     integrate_semi_infinite,
+    term_tolerance,
     verify_identity,
 )
 
@@ -137,11 +139,42 @@ def test_cache_returns_consistent_results():
 
 
 def test_clear_caches_empties_both_memos():
+    quad.clear_caches()
     eval_numeric(Composition((1, 1, 2)), tol=1e-6)
-    eval_unit_cube_ones(3, tol=1e-6)
+    cube = eval_unit_cube_ones(3, tol=1e-6)
+    # one memo holds both routes; a hit returns the stored object itself
+    assert set(quad._cache) == {((Fraction(1),) * 3, (1, 1, 2)), ("cube", 3)}
+    assert eval_unit_cube_ones(3, tol=1e-5) is cube
     quad.clear_caches()
     assert len(quad._cache) == 0
-    assert len(quad._cube_cache) == 0
+
+
+# Captured from the two-closure-chain evaluator that preceded the shared
+# nested engine: (kind, exponents or depth, bounds, tol, value,
+# error_estimate, evaluations, converged), each computed cold.
+_PINNED = [
+    ("semi", (1, 2), None, 1e-7, 0.6931471805599454, 2.5169205873843144e-13, 15, True),
+    ("semi", (1, 1, 2), None, 1e-7, 0.6142793334595685, 2.427561666629779e-09, 1080, True),
+    ("semi", (2, 1, 3), None, 1e-4, 0.01813857202455389, 7.217660106945705e-08, 780, True),
+    ("semi", (1, 1, 1, 2), None, 1e-4, 0.5849770520591736, 2.97342650325648e-06, 94425, True),
+    ("semi", (1, 2), (2, 3), 1e-6, 0.3054302439580521, 1.0944020674315767e-09, 45, True),
+    ("semi", (1, 1, 2), (3, 1, 2), 1e-6, 0.2567169534681611, 1.38799733759164e-08, 3870, True),
+    ("cube", 3, None, 1e-6, 0.6142793334595676, 2.1152178015973951e-10, 240, True),
+    ("cube", 4, None, 1e-9, 0.5849770520487971, 2.2968101393910006e-13, 10845, True),
+]
+
+
+@pytest.mark.parametrize("kind, arg, bounds, tol, value, error, evaluations, converged", _PINNED)
+def test_nested_engine_pinned_table(kind, arg, bounds, tol, value, error, evaluations, converged):
+    quad.clear_caches()
+    if kind == "cube":
+        res = eval_unit_cube_ones(arg, tol)
+    else:
+        res = eval_numeric(ShiftedCMZV(bounds, arg) if bounds else Composition(arg), tol)
+    assert res.evaluations == evaluations
+    assert res.converged is converged
+    assert res.value == pytest.approx(value, rel=1e-13)
+    assert res.error_estimate == pytest.approx(error, rel=1e-13)
 
 
 def test_integrate_semi_infinite_basics():
@@ -194,6 +227,38 @@ def test_verify_identity_embedding_instance():
     )
     assert res["passed"]
     assert res["converged"]
+
+
+def test_verify_identity_skips_zero_coefficients(monkeypatch):
+    seen = []
+    real = quad.eval_numeric
+
+    def recording(target, *args, **kwargs):
+        seen.append(target)
+        return real(target, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "eval_numeric", recording)
+    res = verify_identity(
+        [(Composition((2,)), Fraction(1)), (Composition((1, 1, 1, 1, 2)), 0)],
+        rhs_constant=Fraction(1),
+    )
+    assert res["passed"]
+    assert [t.exponents.parts for t in seen] == [(2,)]
+
+
+def test_term_tolerance_splits_by_mass():
+    assert term_tolerance(1e-6, [Fraction(3), Fraction(-2)]) == 1e-6 / 10.0
+    # a mass below 1 does not loosen the per-term tolerance
+    assert term_tolerance(1e-6, [Fraction(1, 4)]) == 1e-6 / 2.0
+    assert term_tolerance(1e-6, []) == 1e-6 / 2.0
+
+
+def test_basis_generator_is_all_ones_then_two():
+    # B(1,1) = zeta(1,2) = log 2
+    res = eval_basis_generator((1, 1), tol=1e-10)
+    assert abs(res.value - LOG2) < 1e-10
+    shifted = eval_basis_generator((2, 1, 3), tol=1e-6)
+    assert shifted is eval_numeric(ShiftedCMZV((2, 1, 3), Composition((1, 1, 2))), tol=1e-6)
 
 
 def test_numeric_result_json():
