@@ -25,10 +25,10 @@ from .compositions import Composition
 from .errors import CmzvError
 from .etaspace import sum_formula_lhs_terms, sum_formula_rhs
 from .poles import pole_hyperplanes
-from .quad import ShiftedCMZV, eval_basis_generator, eval_numeric, verify_identity
+from .quad import ShiftedCMZV, eval_numeric, verify_identity
 from .reduce import SymbolicConstant, reduce_to_basis
 from .shuffle import FormalWordSum, shuffle
-from .verify import SUITES, run_suite
+from .verify import SUITES, reduction_residual, run_suite
 
 _ENV_PREFIX = "CMZV_"
 _FORMATS = ("table", "json", "csv")
@@ -77,32 +77,24 @@ def _parse_bounds(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"bounds must be comma-separated rationals, got {text!r}")
 
 
-def _emit(fmt: str, rows: list[tuple[str, object]], payload) -> None:
-    """rows drive the table; payload drives json; csv gets key/value rows."""
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["key", "value"])
-        for key, value in rows:
-            writer.writerow([key, value])
-    else:
-        width = max((len(k) for k, _ in rows), default=0)
-        for key, value in rows:
-            print(f"{key:<{width}}  {value}")
-
-
-def _emit_list(fmt: str, header: list[str], rows: list[list], payload) -> None:
+def _emit(fmt: str, payload, header: list[str], rows, table_lines) -> None:
+    """The one writer of output: payload as JSON, header and rows as CSV, or
+    table_lines as plain lines."""
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     else:
-        for row in rows:
-            print("  ".join(str(cell) for cell in row))
+        for line in table_lines:
+            print(line)
+
+
+def _emit_pairs(fmt: str, payload, pairs: list[tuple[str, object]]) -> None:
+    """Key/value pairs as an aligned two-column table or key,value CSV rows."""
+    width = max((len(k) for k, _ in pairs), default=0)
+    _emit(fmt, payload, ["key", "value"], pairs, (f"{k:<{width}}  {v}" for k, v in pairs))
 
 
 def render_symbolic(sc: SymbolicConstant) -> str:
@@ -149,7 +141,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         ("evaluations", res.evaluations),
         ("converged", res.converged),
     ]
-    _emit(cfg.fmt, rows, res.to_json())
+    _emit_pairs(cfg.fmt, res.to_json(), rows)
     return 0 if res.converged else 3
 
 
@@ -158,8 +150,7 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
     bounds = _parse_bounds(args.bounds) if args.bounds else None
     sc = reduce_to_basis(comp, bounds, step_budget=cfg.step_budget, depth_cap=cfg.depth_cap)
     target = ShiftedCMZV(bounds, comp) if bounds else comp
-    num = eval_numeric(target, tol=cfg.tolerance, depth_cap=cfg.depth_cap)
-    symbolic = sc.evaluate(lambda ids: eval_basis_generator(ids, cfg.tolerance, cfg.depth_cap).value)
+    symbolic, num = reduction_residual(sc, target, cfg.tolerance, cfg.depth_cap)
     residual = abs(symbolic - num.value)
     rows = [
         ("symbolic", render_symbolic(sc)),
@@ -169,21 +160,14 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
     payload = dict(sc.to_json())
     payload["rendered"] = render_symbolic(sc)
     payload["residual"] = residual
-    _emit(cfg.fmt, rows, payload)
+    _emit_pairs(cfg.fmt, payload, rows)
     return 0 if num.converged else 3
 
 
 def cmd_shuffle(args, cfg: RunConfig) -> int:
     result = shuffle(args.word1, args.word2)
-    if cfg.fmt == "table":
-        print(render_word_sum(result))
-    else:
-        _emit_list(
-            cfg.fmt,
-            ["word", "coefficient"],
-            [[word if word else "1", str(coeff)] for word, coeff in result],
-            result.to_json(),
-        )
+    rows = ([word if word else "1", str(coeff)] for word, coeff in result)
+    _emit(cfg.fmt, result.to_json(), ["word", "coefficient"], rows, [render_word_sum(result)])
     return 0
 
 
@@ -219,7 +203,7 @@ def cmd_sumformula(args, cfg: RunConfig) -> int:
         "converged": converged,
         "evaluations": check["evaluations"],
     }
-    _emit(cfg.fmt, rows, payload)
+    _emit_pairs(cfg.fmt, payload, rows)
     if not converged:
         return 3
     return 0 if passed else 1
@@ -230,16 +214,8 @@ def cmd_poles(args, cfg: RunConfig) -> int:
         pole_hyperplanes(args.depth, args.k_max),
         key=lambda h: (len(h.coefficients), h.coefficients, -h.constant),
     )
-    if cfg.fmt == "table":
-        for h in planes:
-            print(h)
-    else:
-        _emit_list(
-            cfg.fmt,
-            ["coefficients", "constant"],
-            [[" ".join(str(m) for m in h.coefficients), h.constant] for h in planes],
-            [h.to_json() for h in planes],
-        )
+    rows = ([" ".join(str(m) for m in h.coefficients), h.constant] for h in planes)
+    _emit(cfg.fmt, [h.to_json() for h in planes], ["coefficients", "constant"], rows, planes)
     return 0
 
 
@@ -254,28 +230,16 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         corrupt=args.corrupt,
     )
     passed = sum(1 for r in results if r.passed)
-    if cfg.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "results": [r.to_json() for r in results],
-                    "passed": passed,
-                    "total": len(results),
-                    "ok": passed == len(results),
-                },
-                indent=2,
-            )
-        )
-    elif cfg.fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["suite", "name", "passed", "detail"])
-        for r in results:
-            writer.writerow([r.suite, r.name, r.passed, r.detail])
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            print(f"[{mark}] {r.suite}: {r.name}  {r.detail}")
-        print(f"{passed}/{len(results)} checks passed")
+    payload = {
+        "results": [r.to_json() for r in results],
+        "passed": passed,
+        "total": len(results),
+        "ok": passed == len(results),
+    }
+    rows = ([r.suite, r.name, r.passed, r.detail] for r in results)
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}: {r.name}  {r.detail}" for r in results]
+    lines.append(f"{passed}/{len(results)} checks passed")
+    _emit(cfg.fmt, payload, ["suite", "name", "passed", "detail"], rows, lines)
     return 0 if passed == len(results) else 1
 
 

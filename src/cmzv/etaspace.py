@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .compositions import Composition, compositions_of
+from .compositions import Composition
 from .errors import DomainError
 
 
@@ -150,9 +151,11 @@ def sum_formula_lhs_terms(r: int, k: int) -> tuple[tuple[Composition, Fraction],
     if k - 2 * (r - 1) <= 0:
         raise DomainError(f"need k > 2(r-1); got r={r}, k={k}")
     out: list[tuple[Composition, Fraction]] = []
-    for c in compositions_of(k):
-        if c.depth != r:
-            continue
+    # r-part compositions of k are the (r-1)-subsets of cut points 1..k-1,
+    # and lexicographic order on the cuts is lexicographic order on the parts
+    for cuts in combinations(range(1, k), r - 1):
+        ends = (0,) + cuts + (k,)
+        c = Composition(tuple(b - a for a, b in zip(ends, ends[1:])))
         target = Composition(c.parts[:-1] + (1 + c.parts[-1],))
         out.append((target, composition_weight(c)))
     return tuple(out)

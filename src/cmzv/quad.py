@@ -167,7 +167,6 @@ def _adaptive_unit(
     f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     tol: float,
     rel: float = float("inf"),
-    max_panels: int = _MAX_PANELS,
 ) -> tuple[float, float, float, bool]:
     """Adaptive G7/K15 integration of f over [0, 1].
 
@@ -221,7 +220,7 @@ def _adaptive_unit(
         threshold = min(tol, rel * abs(total_val))
         if total_own <= threshold:
             break
-        if n_panels >= max_panels:
+        if n_panels >= _MAX_PANELS:
             exhausted = True  # stopped by the cap with refinable work left
             break
         neg_own, _, a, b, vk, _ = heapq.heappop(heap)

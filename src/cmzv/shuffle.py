@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .compositions import Composition, composition_from_word, is_admissible_word
-from .errors import DomainError, WordEncodingError
+from .errors import CapacityError, DomainError, WordEncodingError
 
 _LETTERS = {"x", "y"}
 
@@ -90,20 +89,33 @@ class FormalWordSum:
         return {w: str(q) for w, q in self.terms}
 
 
-@lru_cache(maxsize=None)
+_MAX_WORDS = 10**6  # cap on the distinct words of any partial product
+
+
 def _shuffle_words(w1: str, w2: str) -> tuple[tuple[str, int], ...]:
-    if not w1:
-        return ((w2, 1),)
-    if not w2:
-        return ((w1, 1),)
-    acc: dict[str, int] = {}
-    for tail, n in _shuffle_words(w1[1:], w2):
-        word = w1[0] + tail
-        acc[word] = acc.get(word, 0) + n
-    for tail, n in _shuffle_words(w1, w2[1:]):
-        word = w2[0] + tail
-        acc[word] = acc.get(word, 0) + n
-    return tuple(sorted(acc.items()))
+    """Words of w1 sh w2 with their multiplicities, sorted by word.
+
+    Built bottom-up over suffix pairs, one row of w2 suffixes at a time:
+    row[j] holds w1[i:] sh w2[j:].  A partial product of more than _MAX_WORDS
+    distinct words raises CapacityError.
+    """
+    n2 = len(w2)
+    row = [{w2[j:]: 1} for j in range(n2 + 1)]
+    for i in range(len(w1) - 1, -1, -1):
+        new = [None] * n2 + [{w1[i:]: 1}]
+        for j in range(n2 - 1, -1, -1):
+            acc = {w1[i] + tail: n for tail, n in row[j].items()}
+            row[j] = None  # read once: free it before the row is done
+            for tail, n in new[j + 1].items():
+                word = w2[j] + tail
+                acc[word] = acc.get(word, 0) + n
+            if len(acc) > _MAX_WORDS:
+                raise CapacityError(
+                    f"shuffle of words of lengths {len(w1)} and {n2} passes {_MAX_WORDS} words"
+                )
+            new[j] = acc
+        row = new
+    return tuple(sorted(row[0].items()))
 
 
 def shuffle(w1: str, w2: str) -> FormalWordSum:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .compositions import (
     Composition,
@@ -31,6 +30,7 @@ from .compositions import (
 )
 from .errors import DomainError
 from .quad import (
+    NumericResult,
     ShiftedCMZV,
     default_tolerance,
     eval_basis_generator,
@@ -38,7 +38,7 @@ from .quad import (
     eval_unit_cube_ones,
     term_tolerance,
 )
-from .reduce import basis_ids, reduce_to_basis
+from .reduce import SymbolicConstant, basis_ids, reduce_to_basis
 from .shuffle import shuffle, z_map
 
 SUITES = ("shuffle", "embedding", "unitcube", "bounds", "reduction")
@@ -53,6 +53,25 @@ class CheckResult:
 
     def to_json(self) -> dict:
         return {"suite": self.suite, "name": self.name, "passed": self.passed, "detail": self.detail}
+
+
+def _compare(
+    suite: str, name: str, la: str, lb: str, a: float, b: float, tol: float, note: str = ""
+) -> CheckResult:
+    """The check |a - b| <= tol, with a and b labelled la and lb in the
+    detail; a non-empty note is appended and fails the check outright."""
+    diff = abs(a - b)
+    detail = f"{la}={a:.10f} {lb}={b:.10f} diff={diff:.3e} tol={tol:.1e}{note}"
+    return CheckResult(suite, name, diff <= tol and not note, detail)
+
+
+def reduction_residual(
+    sc: SymbolicConstant, target: ShiftedCMZV | Composition, tol: float | None, depth_cap: int
+) -> tuple[float, NumericResult]:
+    """The float value of a reduction sc, its basis generators evaluated at
+    tol, and the quadrature value of target at the same tol."""
+    symbolic = sc.evaluate(lambda ids: eval_basis_generator(ids, tol, depth_cap).value)
+    return symbolic, eval_numeric(target, tol=tol, depth_cap=depth_cap)
 
 
 def _admissible_words(max_weight: int) -> list[str]:
@@ -85,13 +104,7 @@ def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = 6) ->
             eval_numeric(composition_from_word(w1), tol=tol / 8.0, depth_cap=depth_cap).value
             * eval_numeric(composition_from_word(w2), tol=tol / 8.0, depth_cap=depth_cap).value
         )
-        diff = abs(lhs - rhs)
-        return CheckResult(
-            "shuffle",
-            f"{w1} shuffled {w2}",
-            diff <= tol,
-            f"lhs={lhs:.10f} rhs={rhs:.10f} diff={diff:.3e} tol={tol:.1e}",
-        )
+        return _compare("shuffle", f"{w1} shuffled {w2}", "lhs", "rhs", lhs, rhs, tol)
 
     return [(f"{w1}|{w2}", run, (w1, w2)) for w1, w2 in pairs]
 
@@ -109,13 +122,7 @@ def suite_embedding(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) 
             eval_numeric(lo, tol=tol / 4.0, depth_cap=depth_cap).value
             + eval_numeric(hi, tol=tol / 4.0, depth_cap=depth_cap).value
         )
-        diff = abs(lhs - rhs)
-        return CheckResult(
-            "embedding",
-            f"{c} = {lo} + {hi}",
-            diff <= tol,
-            f"lhs={lhs:.10f} rhs={rhs:.10f} diff={diff:.3e} tol={tol:.1e}",
-        )
+        return _compare("embedding", f"{c} = {lo} + {hi}", "lhs", "rhs", lhs, rhs, tol)
 
     return [(str(c), run, c) for c in comps]
 
@@ -128,13 +135,7 @@ def suite_unitcube(max_depth: int = 4, tol: float = 1e-6, depth_cap: int = 6) ->
         semi = eval_numeric(
             Composition((1,) * (r - 1) + (2,)), tol=tol / 4.0, depth_cap=depth_cap
         )
-        diff = abs(cube.value - semi.value)
-        return CheckResult(
-            "unitcube",
-            f"depth {r}",
-            diff <= tol,
-            f"cube={cube.value:.10f} semi={semi.value:.10f} diff={diff:.3e} tol={tol:.1e}",
-        )
+        return _compare("unitcube", f"depth {r}", "cube", "semi", cube.value, semi.value, tol)
 
     return [(f"r={r}", run, r) for r in range(2, max_depth + 1)]
 
@@ -165,19 +166,13 @@ def suite_reduction(
     """Exact reduction vs quadrature, basis-id bookkeeping, generator counts,
     and seeded random shifted-bound spot checks."""
     comps = [c for w in range(2, max_weight + 1) for c in admissible_compositions(w)]
-    basis_tol = tol / 4.0
 
     def run_comp(c):
         sc = reduce_to_basis(c, depth_cap=depth_cap)
         bad_ids = [ids for ids, _ in sc.basis if sum(ids) != c.depth or any(m != int(m) for m in ids)]
-        sym = sc.evaluate(lambda ids: eval_basis_generator(ids, basis_tol, depth_cap).value)
-        num = eval_numeric(c, tol=tol / 4.0, depth_cap=depth_cap).value
-        diff = abs(sym - num)
-        ok = diff <= tol and not bad_ids
-        detail = f"symbolic={sym:.10f} numeric={num:.10f} diff={diff:.3e} tol={tol:.1e}"
-        if bad_ids:
-            detail += f" bad_ids={bad_ids}"
-        return CheckResult("reduction", str(c), ok, detail)
+        sym, num = reduction_residual(sc, c, tol / 4.0, depth_cap)
+        note = f" bad_ids={bad_ids}" if bad_ids else ""
+        return _compare("reduction", str(c), "symbolic", "numeric", sym, num.value, tol, note)
 
     def run_counts(r):
         n = sum(1 for _ in basis_ids(r))
@@ -191,17 +186,10 @@ def suite_reduction(
     def run_shifted(args):
         m1, m2 = args
         sc = reduce_to_basis(Composition((1, 2)), (m1, m2))
-        sym = sc.evaluate(None)
-        num = eval_numeric(
-            ShiftedCMZV((m1, m2), Composition((1, 2))), tol=tol / 4.0, depth_cap=depth_cap
-        ).value
-        diff = abs(sym - num)
-        return CheckResult(
-            "reduction",
-            f"shifted (1,2) bounds ({m1},{m2})",
-            diff <= tol,
-            f"symbolic={sym:.10f} numeric={num:.10f} diff={diff:.3e} tol={tol:.1e}",
-        )
+        target = ShiftedCMZV((m1, m2), Composition((1, 2)))
+        sym, num = reduction_residual(sc, target, tol / 4.0, depth_cap)
+        name = f"shifted (1,2) bounds ({m1},{m2})"
+        return _compare("reduction", name, "symbolic", "numeric", sym, num.value, tol)
 
     checks = [(str(c), run_comp, c) for c in comps]
     checks.extend((f"count r={r}", run_counts, r) for r in range(1, 11))
@@ -210,6 +198,17 @@ def suite_reduction(
         m1, m2 = rng.randint(1, 6), rng.randint(1, 6)
         checks.append((f"shifted {m1},{m2}", run_shifted, (m1, m2)))
     return checks
+
+
+# Each suite's builder (max weight, tol, depth cap, seed) -> checks, default
+# max weight and default tolerance.
+_SUITE_TABLE = {
+    "shuffle": (lambda mw, t, cap, seed: suite_shuffle(mw, t, cap), 5, 1e-5),
+    "embedding": (lambda mw, t, cap, seed: suite_embedding(mw, t, cap), 5, 1e-6),
+    "unitcube": (lambda mw, t, cap, seed: suite_unitcube(min(mw, 4, cap), t, cap), 4, 1e-6),
+    "bounds": (lambda mw, t, cap, seed: suite_bounds(mw, t, cap), 5, 1e-6),
+    "reduction": (lambda mw, t, cap, seed: suite_reduction(mw, t, cap, seed=seed), 5, 1e-6),
+}
 
 
 def run_suite(
@@ -222,31 +221,15 @@ def run_suite(
     corrupt: bool = False,
 ) -> list[CheckResult]:
     """Run one suite (or 'all'), returning results in deterministic order."""
-    defaults = {
-        "shuffle": (5, 1e-5),
-        "embedding": (5, 1e-6),
-        "unitcube": (4, 1e-6),
-        "bounds": (5, 1e-6),
-        "reduction": (5, 1e-6),
-    }
     names = SUITES if name == "all" else (name,)
     checks = []
     for n in names:
-        if n not in defaults:
+        if n not in _SUITE_TABLE:
             raise DomainError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
-        mw, dtol = defaults[n]
+        build, mw, dtol = _SUITE_TABLE[n]
         mw = max_weight if max_weight is not None else mw
         t = tol if tol is not None else dtol
-        if n == "shuffle":
-            checks.extend(suite_shuffle(mw, t, depth_cap))
-        elif n == "embedding":
-            checks.extend(suite_embedding(mw, t, depth_cap))
-        elif n == "unitcube":
-            checks.extend(suite_unitcube(min(mw, 4, depth_cap), t, depth_cap))
-        elif n == "bounds":
-            checks.extend(suite_bounds(mw, t, depth_cap))
-        else:
-            checks.extend(suite_reduction(mw, t, depth_cap, seed=seed))
+        checks.extend(build(mw, t, depth_cap, seed))
 
     if corrupt:
         # harness self-test: a deliberately wrong constant must be caught

@@ -110,6 +110,14 @@ def test_reduce_json(capsys):
     assert payload["residual"] < 1e-6
 
 
+def test_reduce_csv_rows(capsys):
+    assert main(["reduce", "2,2", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["key", "value"]
+    assert [row[0] for row in rows[1:]] == ["symbolic", "numeric", "residual"]
+    assert rows[1][1] == "1 - log 2"
+
+
 def test_reduce_with_bounds(capsys):
     assert main(["reduce", "1,2", "--bounds", "2,3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -180,6 +188,27 @@ def test_shuffle_json(capsys):
     assert payload == {"yx": "1", "xy": "1"}
 
 
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("table", "2*yxyx + 4*yyxx\n"),
+        ("json", '{\n  "yxyx": "2",\n  "yyxx": "4"\n}\n'),
+        ("csv", "word,coefficient\r\nyxyx,2\r\nyyxx,4\r\n"),
+    ],
+)
+def test_shuffle_output_pinned(capsys, fmt, expected):
+    assert main(["shuffle", "yx", "yx", "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_shuffle_long_word_has_no_recursion_limit(capsys):
+    # y^1200 x sh yx: one interleaving per choice of 2 of the 1203 positions
+    assert main(["shuffle", "y" * 1200 + "x", "yx", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["word", "coefficient"]
+    assert sum(int(coeff) for _, coeff in rows[1:]) == math.comb(1203, 2) == 723_003
+
+
 # ------------------------------------------------------------ sumformula
 
 
@@ -226,6 +255,29 @@ def test_poles_json(capsys):
     assert len(payload) == 4
 
 
+_POLES_2_3 = [
+    ((1,), 1), ((1,), 0), ((1,), -1),
+    ((2,), 1), ((2,), 0), ((2,), -1),
+    ((1, 1), 2), ((1, 1), 1), ((1, 1), 0),
+    ((2, 1), 2), ((2, 1), 1), ((2, 1), 0),
+]
+
+
+def test_poles_output_pinned(capsys):
+    assert main(["poles", "2", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "s1 = 1\ns1 = 0\ns1 = -1\n2*s1 = 1\n2*s1 = 0\n2*s1 = -1\n"
+        "s1 + s2 = 2\ns1 + s2 = 1\ns1 + s2 = 0\n"
+        "2*s1 + s2 = 2\n2*s1 + s2 = 1\n2*s1 + s2 = 0\n"
+    )
+    assert main(["poles", "2", "3", "--format", "json"]) == 0
+    payload = [{"coeffs": list(m), "constant": c} for m, c in _POLES_2_3]
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    assert main(["poles", "2", "3", "--format", "csv"]) == 0
+    rows = "".join(f"{' '.join(map(str, m))},{c}\r\n" for m, c in _POLES_2_3)
+    assert capsys.readouterr().out == "coefficients,constant\r\n" + rows
+
+
 def test_poles_capacity(capsys):
     assert main(["poles", "9", "1"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -264,6 +316,16 @@ def test_verify_json_shape(capsys):
 def test_verify_unitcube_respects_depth_cap(capsys):
     assert main(["verify", "unitcube", "--depth-cap", "3"]) == 0
     assert "2/2 checks passed" in capsys.readouterr().out
+
+
+def test_verify_csv_rows(capsys):
+    assert main(["verify", "unitcube", "--depth-cap", "3", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["suite", "name", "passed", "detail"]
+    assert [row[:3] for row in rows[1:]] == [
+        ["unitcube", "depth 2", "True"],
+        ["unitcube", "depth 3", "True"],
+    ]
 
 
 def test_verify_rejects_unknown_suite():

@@ -1,6 +1,7 @@
 """The averaging operator on span{1/(x+n)^l} and the exact sum formulas."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -157,3 +158,25 @@ def test_lhs_weights_match_product_formula():
         for j in range(r):
             expected *= sum(base[j:]) - 2 * (r - 1 - j)
         assert w == expected
+
+
+def _filtered_lhs_terms(r, k):
+    """Reference: walk all 2^(k-1) compositions of k and keep those with r parts."""
+    return tuple(
+        (Composition(c.parts[:-1] + (1 + c.parts[-1],)), composition_weight(c))
+        for c in compositions_of(k)
+        if c.depth == r
+    )
+
+
+def test_lhs_terms_match_filtered_enumeration():
+    for r in range(1, 5):
+        for k in range(2 * r - 1, 15):
+            assert sum_formula_lhs_terms(r, k) == _filtered_lhs_terms(r, k)
+
+
+def test_lhs_terms_at_large_weight_are_quick():
+    start = time.perf_counter()
+    terms = sum_formula_lhs_terms(2, 60)
+    assert time.perf_counter() - start < 0.5
+    assert [c.parts for c, _ in terms] == [(j, 61 - j) for j in range(1, 60)]

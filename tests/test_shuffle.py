@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cmzv.compositions import Composition
-from cmzv.errors import DomainError, WordEncodingError
+from cmzv.errors import CapacityError, DomainError, WordEncodingError
 from cmzv.shuffle import FormalWordSum, ZImage, shuffle, shuffle_sum, z_map
 
 
@@ -93,6 +93,13 @@ def test_shuffle_total_mass_is_binomial():
         n, m = rng.randint(0, 4), rng.randint(0, 4)
         w1, w2 = random_word(rng, n), random_word(rng, m)
         assert shuffle(w1, w2).total_mass() == math.comb(n + m, n)
+
+
+def test_shuffle_past_word_cap_is_capacity_error():
+    # (yx)^n sh (yx)^n has 2^(2n-1) distinct words: n = 11 passes the 10^6 cap
+    w = "yx" * 11
+    with pytest.raises(CapacityError):
+        shuffle(w, w)
 
 
 def test_shuffle_commutative():
