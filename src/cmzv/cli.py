@@ -7,7 +7,8 @@ CMZV_DEPTH_CAP, CMZV_STEP_BUDGET, CMZV_FORMAT, CMZV_JOBS, CMZV_SEED);
 explicit flags win.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-non-convergence.
+non-convergence (for verify: every check passed, but some rests on a value
+that did not converge).
 """
 
 from __future__ import annotations
@@ -150,18 +151,18 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
     bounds = _parse_bounds(args.bounds) if args.bounds else None
     sc = reduce_to_basis(comp, bounds, step_budget=cfg.step_budget, depth_cap=cfg.depth_cap)
     target = ShiftedCMZV(bounds, comp) if bounds else comp
-    symbolic, num = reduction_residual(sc, target, cfg.tolerance, cfg.depth_cap)
-    residual = abs(symbolic - num.value)
+    symbolic, num, converged = reduction_residual(sc, target, cfg.tolerance, cfg.depth_cap)
+    residual = abs(symbolic - num)
     rows = [
         ("symbolic", render_symbolic(sc)),
-        ("numeric", f"{num.value:.15g}"),
+        ("numeric", f"{num:.15g}"),
         ("residual", f"{residual:.3e}"),
     ]
     payload = dict(sc.to_json())
     payload["rendered"] = render_symbolic(sc)
     payload["residual"] = residual
     _emit_pairs(cfg.fmt, payload, rows)
-    return 0 if num.converged else 3
+    return 0 if converged else 3
 
 
 def cmd_shuffle(args, cfg: RunConfig) -> int:
@@ -230,6 +231,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         corrupt=args.corrupt,
     )
     passed = sum(1 for r in results if r.passed)
+    unconverged = sum(1 for r in results if not r.converged)
     payload = {
         "results": [r.to_json() for r in results],
         "passed": passed,
@@ -238,9 +240,14 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     }
     rows = ([r.suite, r.name, r.passed, r.detail] for r in results)
     lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}: {r.name}  {r.detail}" for r in results]
-    lines.append(f"{passed}/{len(results)} checks passed")
+    summary = f"{passed}/{len(results)} checks passed"
+    if unconverged:
+        summary += f"; {unconverged} rest on values that did not converge"
+    lines.append(summary)
     _emit(cfg.fmt, payload, ["suite", "name", "passed", "detail"], rows, lines)
-    return 0 if passed == len(results) else 1
+    if passed < len(results):
+        return 1
+    return 3 if unconverged else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,33 +1,58 @@
-"""Numeric evaluation of iterated tail integrals by nested adaptive quadrature.
+"""Numeric evaluation of iterated tail integrals by a tensor double-exponential rule.
 
-One engine, `_nested`, integrates over the unit cube (0, 1)^d by nesting one
-adaptive Gauss-Kronrod (G7/K15) integrator per dimension.  Two integrands
-feed it:
+One engine, `_tensor`, integrates over every variable at once with the
+tensor trapezoidal rule in the variables s of a double-exponential
+substitution (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005).  The
+integrands are analytic inside their domains and singular only at the ends,
+so the rule converges double-exponentially in the step h.  Two integral
+forms feed it, each as a `_Form`:
 
   * the semi-infinite form.  The depth-r integral over prod_i [m_i, oo) of
     1 / (x_1^{k_1} (x_1+x_2)^{k_2} ... (x_1+...+x_r)^{k_r}) integrates the
     innermost variable analytically,
         int_{m_r}^oo (T + x_r)^{-k_r} dx_r = (T + m_r)^(1-k_r) / (k_r - 1),
-    and maps each remaining half-line to the unit interval with
-        x = m + t/(1-t),  dx = dt/(1-t)^2;
+    and maps each other half-line by exp-sinh, x_j = m_j + sigma exp(pi sinh s),
+    with the Jacobian taken from the same exponential, so nothing is computed
+    as 1 - t.  The scale sigma follows the state; the integrand is formed in
+    logarithms, so bounds from 1e-300 to 1e300 neither overflow nor lose the
+    scale (`_semi_infinite_form`);
   * the unit-cube form of zeta(1, ..., 1, 2), whose integrand
-    1 / (1 + y_1 + y_1 y_2 + ...) already lives on (0, 1)^(r-1).
+    1 / (1 + y_1 + y_1 y_2 + ...) lives on (0, 1)^(r-1).  The innermost y is
+    integrated in closed form and each other y maps by tanh-sinh,
+    y = 1 / (1 + exp(-pi sinh s)) (`_unit_cube_form`).
 
-Error accounting is deliberately simple and auditable: each panel's own error
-is the rule difference |K15 - G7| (scaled by the usual (200d)^1.5 sharpening),
-panels are summed without cancellation, and every inner integral's error
-estimate is integrated alongside its value through the positive Kronrod
-weights, so uncertainty propagates outward conservatively.  The per-level
-budget splits the requested tolerance as tol/2 for the outermost level and
-tol/(2*d) for each inner level.  Results that miss their budget are
-flagged converged=False, never silently truncated.  Both forms share one
-memo.
+The rule.  h halves from 1/2 down to 2^-11.  A level sums the integrand over
+the grid s = n h inside per-dimension node ranges.  It walks the outer
+dimensions in chunks of node prefixes and contracts the last one in blocks,
+so no temporary array exceeds 2^15 elements; a prefix whose weight times an
+analytic bound on the rest of the integral is below tol / (8 * prefixes) is
+dropped and its bound counted.  Each range starts at |s| <= 3, grows by half
+a unit (up to |s| <= 7) while an end's tail exceeds tol / (16 * dims), and
+sheds end nodes that lie far below it.
+
+The error estimate of the value I_h is
+    |I_h - I_2h| + tails + dropped + 1e-13 |I_h|:
+the tails bound the truncated nodes at both ends of every dimension from the
+marginal sum at the end node and its per-node decay over the last half unit
+of s (a geometric series; the true decay is faster), and the last term
+allows for rounding through logarithms of size up to about 700.  The rule
+stops at the first level whose estimate is <= tol.  `evaluations` counts
+integrand points over all levels, first-level regrowth included.  A call
+that would pass _MAX_POINTS points, reaches the finest step, or finds its
+rounding allowance alone above tol returns converged=False with the
+estimate it has.  Results that miss their tolerance are flagged, never
+silently truncated.
+
+`_adaptive_unit`, a one-dimensional adaptive Gauss-Kronrod (G7/K15) rule,
+serves only `integrate_semi_infinite`.  Both forms share one memo.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,133 +180,205 @@ class ShiftedCMZV:
         }
 
 
-class _Stats:
-    __slots__ = ("evaluations", "exhausted")
+def _adaptive_unit(f: Callable[[np.ndarray], np.ndarray], tol: float) -> tuple[float, float, bool]:
+    """Adaptive G7/K15 integration of the vectorized f over [0, 1].
 
-    def __init__(self) -> None:
-        self.evaluations = 0
-        self.exhausted = False
-
-
-def _adaptive_unit(
-    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    tol: float,
-    rel: float = float("inf"),
-) -> tuple[float, float, float, bool]:
-    """Adaptive G7/K15 integration of f over [0, 1].
-
-    f maps an array of interior points to (values, errors); the error channel
-    carries absolute uncertainties of the values and is integrated with the
-    same positive weights.  Splits the worst panel until the summed rule
-    error meets min(tol, rel*|integral|) or the panel cap is hit.  The
-    relative leg keeps inner-level errors proportional to inner-level values,
-    which stops small-magnitude inner integrals from polluting outer rule
-    differences with a constant noise floor.
-
-    Returns (value, own_error, inherited_error, exhausted).
+    Splits the worst panel until the summed rule error meets tol or the
+    panel cap is hit.  Returns (value, error, exhausted).
     """
 
     counter = itertools.count()
 
-    def panel(a: float, b: float) -> tuple[float, float, float]:
+    def panel(a: float, b: float) -> tuple[float, float]:
         half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        vals, errs = f(mid + half * _NODES)
+        vals = f(0.5 * (a + b) + half * _NODES)
         vk = half * float(_WEIGHTS_K @ vals)
-        vg = half * float(_WEIGHTS_G @ vals[1::2])
-        inh = half * float(_WEIGHTS_K @ errs)
-        diff = abs(vk - vg)
-        own = min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
-        return own, vk, inh
+        diff = abs(vk - half * float(_WEIGHTS_G @ vals[1::2]))
+        return (min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0), vk
 
-    # Panels whose rule difference is dominated by inherited (inner-level)
-    # uncertainty or machine noise are parked in `done`: splitting them
-    # cannot reduce the reported error, only burn evaluations.
-    done: list[tuple[float, float, float]] = []
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    total_own = 0.0
-    total_val = 0.0
+    # Panels whose rule difference is machine noise are parked in `done`:
+    # splitting them cannot reduce the reported error, only burn evaluations.
+    done: list[float] = []
+    heap: list[tuple[float, int, float, float, float]] = []
+    error = 0.0
 
     def add(a: float, b: float) -> None:
-        nonlocal total_own, total_val
-        own, vk, inh = panel(a, b)
-        total_own += own
-        total_val += vk
-        noise_floor = max(0.5 * inh, 1e-16 * abs(vk))
-        if own <= noise_floor or (b - a) < 1e-12:
-            done.append((own, vk, inh))
+        nonlocal error
+        own, vk = panel(a, b)
+        error += own
+        if own <= 1e-16 * abs(vk) or (b - a) < 1e-12:
+            done.append(vk)
         else:
-            heapq.heappush(heap, (-own, next(counter), a, b, vk, inh))
+            heapq.heappush(heap, (-own, next(counter), a, b, vk))
 
     add(0.0, 1.0)
     n_panels = 1
     exhausted = False
-    while heap:
-        threshold = min(tol, rel * abs(total_val))
-        if total_own <= threshold:
-            break
+    while heap and not error <= tol:
         if n_panels >= _MAX_PANELS:
             exhausted = True  # stopped by the cap with refinable work left
             break
-        neg_own, _, a, b, vk, _ = heapq.heappop(heap)
-        total_own += neg_own
-        total_val -= vk
+        neg_own, _, a, b, _ = heapq.heappop(heap)
+        error += neg_own
         mid = 0.5 * (a + b)
         add(a, mid)
         add(mid, b)
         n_panels += 1
-    value = sum(entry[4] for entry in heap) + sum(d[1] for d in done)
-    inherited = sum(entry[5] for entry in heap) + sum(d[2] for d in done)
-    return value, total_own, inherited, exhausted
+    return sum(entry[4] for entry in heap) + sum(done), error, exhausted
 
 
-def _nested(
-    dims: int, tol: float, step: Callable, leaf: Callable, state
-) -> tuple[float, float, int, bool]:
-    """Nested adaptive quadrature over (0, 1)^dims, one _adaptive_unit per dimension.
+# The tensor double-exponential rule (module docstring).
+_CHUNK = 1 << 12  # points per block; a longer last dimension is one block
+_MAX_POINTS = 1 << 28  # integrand points per call; a call that would pass it stops
+_MAX_LEVEL = 11  # finest step h = 2^-11, so one dimension has under 2^15 nodes
+_S_START, _S_STEP, _S_CAP = 3.0, 0.5, 7.0  # node ranges in s: start, growth, |s| cap
+_ROUND = 1e-13  # relative rounding allowance of a value
 
-    Level j integrates over its node t from a state handed down by the level
-    above, starting from `state` at level 0.  Above the innermost level,
-    step(j, state, ts) lists one (child state, weight) pair per node; the
-    node's value is weight * (level j+1 at the child state), and its error is
-    weight * (that level's own + inherited error).  The innermost level
-    integrates the vectorized leaf(state, ts) directly.  The outermost level
-    gets tol/2, each inner level tol/(2*dims), also as a relative stop.
 
-    Returns (value, error, evaluations, exhausted).
+@dataclass(frozen=True)
+class _Form:
+    """An integrand of the tensor rule, built level by level from a state.
+
+    state holds the values before the first level.  nodes(s) maps the nodes
+    of one dimension to a tuple of per-node arrays; expand(j, state, nodes)
+    is the state after level j at those nodes; leaf(state) is the integrand
+    after the last level, Jacobians included.  Both work elementwise and
+    broadcast.  bound(state), before the last level, bounds the accumulated
+    weight times the integral over the remaining variables.
     """
-    stats = _Stats()
-    inner_tol = 0.5 * tol / dims
 
-    def level(j: int, state) -> tuple[float, float]:
-        budget = 0.5 * tol if j == 0 else inner_tol
-        rel = float("inf") if j == 0 else budget
-        if j == dims - 1:
+    state: tuple
+    nodes: Callable
+    expand: Callable
+    leaf: Callable
+    bound: Callable
 
-            def integrand(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                stats.evaluations += ts.size
-                vals = leaf(state, ts)
-                return vals, np.zeros_like(vals)
 
+def _sweep(form: _Form, dims: int, h: float, lo: np.ndarray, hi: np.ndarray, drop_tol: float):
+    """One level of the tensor rule over the nodes s = n h, lo <= n <= hi.
+
+    The outer dims - 1 dimensions are walked in chunks of flattened node
+    prefixes; a prefix whose bound is below drop_tol / (number of prefixes)
+    is dropped and its bound kept.  The last dimension is contracted in
+    blocks of at most _CHUNK points.  Returns (sum, the marginal sums of each
+    dimension at each of its nodes, dropped bound, points evaluated), the
+    sums scaled by h^dims.
+    """
+    sizes = [int(n) for n in hi - lo + 1]
+    tables = [form.nodes(np.arange(a, b + 1) * h) for a, b in zip(lo, hi)]
+    outer = sizes[:-1]
+    n_outer = math.prod(outer)
+    threshold = drop_tol / n_outer
+    marginals = [np.zeros(n) for n in sizes]
+    total = dropped = 0.0
+    points = 0
+    block = max(1, _CHUNK // sizes[-1])
+    for start in range(0, n_outer, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, n_outer))
+        idx = np.unravel_index(flat, outer) if outer else ()
+        state = tuple(np.full(flat.size, v) for v in form.state)
+        for j, i in enumerate(idx):
+            state = form.expand(j, state, tuple(col[i] for col in tables[j]))
+        if idx:
+            bound = form.bound(state) * h ** (dims - 1)
+            keep = bound >= threshold
+            dropped += float(bound[~keep].sum())
+            state = tuple(a[keep] for a in state)
+            idx = tuple(i[keep] for i in idx)
+        for p in range(0, state[0].size, block):
+            rows_state = tuple(a[p : p + block, None] for a in state)
+            f = form.leaf(form.expand(dims - 1, rows_state, tables[-1]))
+            points += f.size
+            rows = f.sum(axis=1)
+            total += float(rows.sum())
+            marginals[-1] += f.sum(axis=0)
+            for j, i in enumerate(idx):
+                marginals[j] += np.bincount(i[p : p + block], rows, minlength=sizes[j])
+    scale = h**dims
+    return total * scale, [m * scale for m in marginals], dropped, points
+
+
+def _end(m: np.ndarray, h: float, share: float, room: int) -> tuple[float | None, int]:
+    """Tail bound beyond the last node of m, the marginal sums of one
+    dimension ordered towards one end, and how many nodes to add (> 0) or
+    drop (< 0) at that end; room is how many may still be added.
+
+    Over the last half unit of s (k nodes) the end sum fell by a per-node
+    ratio rho; the decay is double-exponential, so the omitted nodes sum to
+    at most last * rho / (1 - rho).  A tail that does not fall is unbounded
+    (None).  Only nodes of the falling run are dropped, while they and the
+    tail stay below share / 16, keeping k falling nodes behind the new end.
+    """
+    k = min(len(m) - 1, max(1, round(0.5 / h)))
+    last, back = float(m[-1]), float(m[-1 - k])
+    if last == 0.0:
+        tail = 0.0
+    elif back > last:
+        rho = (last / back) ** (1.0 / k)
+        tail = last * rho / (1.0 - rho)
+    else:
+        tail = None
+    if tail is None or tail > share:
+        return tail, min(room, round(_S_STEP / h))
+    rising = np.flatnonzero(m[:-1] <= m[1:])  # m[i] <= m[i + 1]: not falling there
+    run = len(m) - 1 - (rising[-1] + 1 if rising.size else 0)  # falling steps at the end
+    acc = tail + np.cumsum(m[::-1])
+    n = min(int(np.searchsorted(acc, share / 16.0, side="right")), run - k)
+    return (float(acc[n - 1]) if n > 0 else tail), -max(n, 0)
+
+
+def _tensor(form: _Form, dims: int, tol: float) -> tuple[float, float, int, bool]:
+    """(value, error estimate, evaluations, converged) of the integral of
+    form over R^dims by the tensor double-exponential rule."""
+    if dims == 0:
+        value = float(form.leaf(tuple(np.array(v) for v in form.state)))
+        return value, _ROUND * abs(value), 1, True
+    lo = np.full(dims, -round(2 * _S_START))  # node indices at h = 1/2
+    hi = -lo
+    share = tol / (16 * dims)  # per end of each dimension; all ends: tol/8
+    evaluations = 0
+    prev = value = error = 0.0
+    converged = False
+    for level in range(1, _MAX_LEVEL + 1):
+        h = 0.5**level
+        cap = round(_S_CAP / h)
+        if level > 1:
+            lo, hi = 2 * lo, 2 * hi
+            if evaluations + points * 2**dims > _MAX_POINTS:
+                break
+        while True:
+            total, marginals, dropped, points = _sweep(form, dims, h, lo, hi, tol / 8)
+            evaluations += points
+            if not math.isfinite(total):
+                raise DomainError("the value exceeds the float range of the numeric route")
+            tails = 0.0
+            moves = np.zeros((2, dims), dtype=int)  # nodes to add below lo and above hi
+            unbounded = np.zeros((2, dims), dtype=bool)
+            for j, m in enumerate(marginals):
+                for end, ms, room in ((0, m[::-1], cap + lo[j]), (1, m, cap - hi[j])):
+                    tail, moves[end, j] = _end(ms, h, share, int(room))
+                    unbounded[end, j] = tail is None
+                    tails += abs(total) if tail is None else tail
+            # The first level grows its ranges until every tail is within
+            # its share; later levels only until every tail is bounded.
+            grow = np.where(unbounded | (level == 1), np.maximum(moves, 0), 0)
+            if not grow.any():
+                break
+            lo, hi = lo - grow[0], hi + grow[1]
+        lo, hi = lo - moves[0], hi + moves[1]
+        if level == 1:
+            value, error = total, abs(total) + tails + dropped
         else:
-
-            def integrand(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                vals = []
-                errs = []
-                for child, w in step(j, state, ts):
-                    sub_val, sub_err = level(j + 1, child)
-                    vals.append(w * sub_val)
-                    errs.append(w * sub_err)
-                stats.evaluations += ts.size
-                return np.array(vals), np.array(errs)
-
-        val, own, inh, exhausted = _adaptive_unit(integrand, budget, rel)
-        if exhausted:
-            stats.exhausted = True
-        return val, own + inh
-
-    value, err = level(0, state)
-    return value, err, stats.evaluations, stats.exhausted
+            value = total
+            rule = abs(total - prev) + tails + dropped
+            error = rule + _ROUND * abs(total)
+            if error <= tol:
+                converged = True
+                break
+            if rule <= _ROUND * abs(total):
+                break  # rounding alone misses tol; a finer step cannot help
+        prev = total
+    return value, error, evaluations, converged
 
 
 def default_tolerance(depth: int) -> float:
@@ -301,17 +398,14 @@ def clear_caches() -> None:
         _cache.clear()
 
 
-def _memoized(
-    key: tuple, tol: float, dims: int, step: Callable, leaf: Callable, state
-) -> NumericResult:
+def _memoized(key: tuple, tol: float, form: _Form, dims: int) -> NumericResult:
     """The memoized result for key if it was computed at tol or tighter,
-    else a fresh _nested run, stored if tol is the tightest seen."""
+    else a fresh run of the tensor rule, stored if tol is the tightest seen."""
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None and hit[0] <= tol:
         return hit[1]
-    value, err, evaluations, exhausted = _nested(dims, tol, step, leaf, state)
-    result = NumericResult(value, err, evaluations, (not exhausted) and err <= tol)
+    result = NumericResult(*_tensor(form, dims, tol))
     with _cache_lock:
         prev = _cache.get(key)
         if prev is None or tol < prev[0]:
@@ -325,6 +419,95 @@ def _as_target(target: ShiftedCMZV | Composition | Sequence[int]) -> ShiftedCMZV
     return ShiftedCMZV.standard(target)
 
 
+def _semi_infinite_form(t: ShiftedCMZV) -> _Form:
+    """The depth-r tail integral as a _Form over r - 1 exp-sinh dimensions.
+
+    Level j integrates x_j from the state (log c, log W): c = x_1 + ... +
+    x_{j-1} + m_j is the least value of u = x_1 + ... + x_j, and W the
+    weight so far.  With rho^2 = 1 + m_{j+1}/c and E = exp(pi sinh s), the
+    map x_j = m_j + c rho E gives u = c (1 + rho E), and the next state is
+    c' = u + m_{j+1} = c rho (rho + E): x_j spans the scales c and
+    c + m_{j+1} symmetrically in log E.  The level's weight is
+    u^(-k_j) dx_j/ds = c^(1-k_j) (1 + rho E)^(-k_j) rho E pi cosh s.  The
+    leaf is the innermost integral (u + m_r)^(1-k_r) / (k_r - 1) = c'^(1-k_r)
+    / (k_r - 1).  Everything before the final exp is a logarithm.
+    """
+    k = t.exponents.parts
+    lm = [math.log(b.numerator) - math.log(b.denominator) for b in t.bounds]
+    lead = 1.0 / (k[-1] - 1)
+    # int_c^oo v^(-k_{r-1}) v^(1-k_r) dv / (k_r - 1), dropping m_r: the bound
+    # on the last two integrals from the state before the last level.
+    bound_power = 2 - k[-2] - k[-1]
+    bound_scale = lead / (k[-2] + k[-1] - 2)
+
+    def log1pexp(x: np.ndarray) -> np.ndarray:  # log(1 + exp(x)) without overflow
+        out = np.exp(-np.abs(x))
+        np.log1p(out, out=out)
+        out += np.maximum(x, 0.0)
+        return out
+
+    def nodes(s: np.ndarray) -> tuple:
+        return np.pi * np.sinh(s), np.log(np.pi * np.cosh(s))
+
+    def expand(j: int, state: tuple, node: tuple) -> tuple:
+        lc, lw = state
+        ps, lj = node
+        lrho = 0.5 * log1pexp(lm[j + 1] - lc)
+        lt = lrho + ps  # log(rho E)
+        lw = (lw + (1 - k[j]) * lc) + (lt + lj) - k[j] * log1pexp(lt)
+        lc = (lc + 2.0 * lrho) + log1pexp(ps - lrho)
+        return lc, lw
+
+    def leaf(state: tuple) -> np.ndarray:
+        lc, lw = state
+        with np.errstate(over="ignore"):
+            return np.exp(lw + (1 - k[-1]) * lc) * lead
+
+    def bound(state: tuple) -> np.ndarray:
+        lc, lw = state
+        with np.errstate(over="ignore"):
+            return np.exp(lw + bound_power * lc) * bound_scale
+
+    return _Form((lm[0], 0.0), nodes, expand, leaf, bound)
+
+
+def _unit_cube_form() -> _Form:
+    """The all-ones unit-cube integrand as a _Form over tanh-sinh dimensions.
+
+    Writing the denominator as 1 + y_1 (1 + y_2 (1 + ...)) gives the level
+    recursion A' = A + B y, B' = B y from A = B = 1, with the weight W
+    multiplied by dy/ds = pi cosh s y (1 - y).  The leaf integrates the last
+    y in closed form, int_0^1 dy / (A + B y) = log1p(B/A) / B.  Every
+    integrand value is at most W / A.
+    """
+
+    def nodes(s: np.ndarray) -> tuple:
+        ps = np.pi * np.sinh(s)
+        e = np.exp(-np.abs(ps))
+        near_end = e / (1.0 + e)  # the smaller of y and 1 - y
+        far_end = 1.0 / (1.0 + e)
+        y = np.where(ps >= 0.0, far_end, near_end)
+        return y, np.pi * np.cosh(s) * near_end * far_end
+
+    def expand(j: int, state: tuple, node: tuple) -> tuple:
+        a, b, w = state
+        y, jac = node
+        by = b * y
+        return a + by, by, w * jac
+
+    def leaf(state: tuple) -> np.ndarray:
+        a, b, w = state
+        x = b / a
+        ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x > 0.0)
+        return w * ratio / a
+
+    def bound(state: tuple) -> np.ndarray:
+        a, b, w = state
+        return w / a
+
+    return _Form((1.0, 1.0, 1.0), nodes, expand, leaf, bound)
+
+
 def eval_numeric(
     target: ShiftedCMZV | Composition | Sequence[int],
     tol: float | None = None,
@@ -333,8 +516,9 @@ def eval_numeric(
     """Numeric value of an admissible iterated tail integral.
 
     Depth 1 is returned exactly (m^(1-k)/(k-1)); deeper targets run the
-    nested quadrature described in the module docstring.  Results are
-    memoized per (bounds, exponents) at the tightest tolerance seen.
+    tensor rule on the semi-infinite form described in the module
+    docstring.  Results are memoized per (bounds, exponents) at the tightest
+    tolerance seen.
     """
     t = _as_target(target)
     if not is_admissible(t.exponents):
@@ -350,36 +534,9 @@ def eval_numeric(
     if t.depth == 1:
         exact = t.bounds[0] ** (1 - k[0]) / (k[0] - 1)
         return NumericResult(float(exact), 0.0, 0, True)
-
-    try:
-        m = [float(b) for b in t.bounds]
-    except OverflowError:
-        raise DomainError("a lower bound exceeds the float range of the numeric route") from None
-    kf = [float(kj) for kj in k]
-    # The innermost x_r integral is analytic:
-    #     int_{m_r}^oo (T + x_r)^{-k_r} dx_r = (T + m_r)^(1-k_r) / (k_r - 1).
-    tail_scale = 1.0 / (kf[-1] - 1.0)
-    k_in, m_in, k_last, m_last = kf[-2], m[-2], kf[-1], m[-1]
-
-    # Level j maps t to x_j = m_j + t/(1-t).  The state T is x_1 + ... +
-    # x_{j-1}, so the child state is u = T + x_j, weighted u^(-k_j) dx_j/dt.
-    # The weight's power is taken per node in scalar arithmetic: numpy's
-    # vectorized power takes shortcuts for some exponents (squaring for 2)
-    # that round differently.
-    def step(j: int, T: float, ts: np.ndarray) -> list:
-        one_minus = 1.0 - ts
-        u = (T + m[j] + ts / one_minus).tolist()
-        jac = (1.0 / (one_minus * one_minus)).tolist()
-        kj = kf[j]
-        return [(ui, ui ** (-kj) * jaci) for ui, jaci in zip(u, jac)]
-
-    def leaf(T: float, ts: np.ndarray) -> np.ndarray:
-        one_minus = 1.0 - ts
-        u = T + m_in + ts / one_minus
-        jac = 1.0 / (one_minus * one_minus)
-        return u ** (-k_in) * (tail_scale * (u + m_last) ** (1.0 - k_last)) * jac
-
-    return _memoized((t.bounds, k), tol, t.depth - 1, step, leaf, 0.0)
+    if any(b > sys.float_info.max for b in t.bounds):
+        raise DomainError("a lower bound exceeds the float range of the numeric route")
+    return _memoized((t.bounds, k), tol, _semi_infinite_form(t), t.depth - 1)
 
 
 def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) -> NumericResult:
@@ -399,18 +556,7 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) ->
         tol = default_tolerance(r)
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-
-    # Writing the denominator as 1 + y_1 (1 + y_2 (1 + ...)) gives the level
-    # recursion A' = A + B*y, B' = B*y starting from A = B = 1.
-    def step(j: int, AB: tuple[float, float], ys: np.ndarray) -> list:
-        A, B = AB
-        return [((A + B * y, B * y), 1.0) for y in ys.tolist()]
-
-    def leaf(AB: tuple[float, float], ys: np.ndarray) -> np.ndarray:
-        A, B = AB
-        return 1.0 / (A + B * ys)
-
-    return _memoized(("cube", r), tol, r - 1, step, leaf, (1.0, 1.0))
+    return _memoized(("cube", r), tol, _unit_cube_form(), r - 2)
 
 
 def integrate_semi_infinite(
@@ -418,23 +564,22 @@ def integrate_semi_infinite(
 ) -> NumericResult:
     """Adaptive integral of a vectorized integrand over [lower, oo).
 
-    Same compactifying map and rule as the nested evaluator; exposed for
-    one-dimensional cross-checks against closed forms.
+    Maps the half-line to [0, 1) by x = lower + t/(1-t) and runs the 1-D
+    adaptive Gauss-Kronrod rule; exposed for one-dimensional cross-checks
+    against closed forms.
     """
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-    stats = _Stats()
+    evaluations = 0
 
-    def integrand(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def integrand(ts: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
         one_minus = 1.0 - ts
-        x = lower + ts / one_minus
-        stats.evaluations += ts.size
-        vals = f(x) / (one_minus * one_minus)
-        return vals, np.zeros_like(vals)
+        evaluations += ts.size
+        return f(lower + ts / one_minus) / (one_minus * one_minus)
 
-    val, own, inh, exhausted = _adaptive_unit(integrand, tol)
-    err = own + inh
-    return NumericResult(val, err, stats.evaluations, (not exhausted) and err <= tol)
+    val, err, exhausted = _adaptive_unit(integrand, tol)
+    return NumericResult(val, err, evaluations, (not exhausted) and err <= tol)
 
 
 def eval_basis_generator(

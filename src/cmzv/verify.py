@@ -9,6 +9,7 @@ Each suite produces an ordered list of CheckResult rows.  Suites:
     reduction  exact reduction output re-evaluates to the quadrature value;
                emitted basis ids sum to the depth; generator counts are 2^(r-1)
 
+Each row also says whether every numeric value it rests on converged.
 Independent checks may run concurrently (--jobs); result order is fixed by
 construction order regardless of completion order.  The corrupt flag
 deliberately mis-states one expected constant so callers can watch the
@@ -21,6 +22,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from . import quad
 from .compositions import (
     Composition,
     admissible_compositions,
@@ -29,15 +31,7 @@ from .compositions import (
     word_from_composition,
 )
 from .errors import DomainError
-from .quad import (
-    NumericResult,
-    ShiftedCMZV,
-    default_tolerance,
-    eval_basis_generator,
-    eval_numeric,
-    eval_unit_cube_ones,
-    term_tolerance,
-)
+from .quad import NumericResult, ShiftedCMZV, default_tolerance, term_tolerance
 from .reduce import SymbolicConstant, basis_ids, reduce_to_basis
 from .shuffle import shuffle, z_map
 
@@ -50,28 +44,60 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    converged: bool = True  # every numeric value the check rests on converged
 
     def to_json(self) -> dict:
-        return {"suite": self.suite, "name": self.name, "passed": self.passed, "detail": self.detail}
+        return {
+            "suite": self.suite,
+            "name": self.name,
+            "passed": self.passed,
+            "detail": self.detail,
+            "converged": self.converged,
+        }
+
+
+class _Values:
+    """Numeric values for one check, remembering whether all converged."""
+
+    def __init__(self, depth_cap: int):
+        self.depth_cap = depth_cap
+        self.converged = True
+
+    def _take(self, res: NumericResult) -> float:
+        self.converged = self.converged and res.converged
+        return res.value
+
+    def semi(self, target, tol: float | None) -> float:
+        return self._take(quad.eval_numeric(target, tol=tol, depth_cap=self.depth_cap))
+
+    def cube(self, r: int, tol: float) -> float:
+        return self._take(quad.eval_unit_cube_ones(r, tol=tol))
+
+    def generator(self, ids, tol: float | None) -> float:
+        return self._take(quad.eval_basis_generator(ids, tol, self.depth_cap))
 
 
 def _compare(
-    suite: str, name: str, la: str, lb: str, a: float, b: float, tol: float, note: str = ""
+    suite: str, name: str, la: str, lb: str, a: float, b: float, tol: float, converged: bool,
+    note: str = "",
 ) -> CheckResult:
     """The check |a - b| <= tol, with a and b labelled la and lb in the
-    detail; a non-empty note is appended and fails the check outright."""
+    detail, on values that all converged or not; a non-empty note is
+    appended and fails the check outright."""
     diff = abs(a - b)
     detail = f"{la}={a:.10f} {lb}={b:.10f} diff={diff:.3e} tol={tol:.1e}{note}"
-    return CheckResult(suite, name, diff <= tol and not note, detail)
+    return CheckResult(suite, name, diff <= tol and not note, detail, converged)
 
 
 def reduction_residual(
     sc: SymbolicConstant, target: ShiftedCMZV | Composition, tol: float | None, depth_cap: int
-) -> tuple[float, NumericResult]:
-    """The float value of a reduction sc, its basis generators evaluated at
-    tol, and the quadrature value of target at the same tol."""
-    symbolic = sc.evaluate(lambda ids: eval_basis_generator(ids, tol, depth_cap).value)
-    return symbolic, eval_numeric(target, tol=tol, depth_cap=depth_cap)
+) -> tuple[float, float, bool]:
+    """(float value of a reduction sc with its basis generators evaluated
+    at tol, quadrature value of target at the same tol, whether every one
+    of those values converged)."""
+    values = _Values(depth_cap)
+    symbolic = sc.evaluate(lambda ids: values.generator(ids, tol))
+    return symbolic, values.semi(target, tol), values.converged
 
 
 def _admissible_words(max_weight: int) -> list[str]:
@@ -95,16 +121,18 @@ def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = 6) ->
 
     def run(pair):
         w1, w2 = pair
+        values = _Values(depth_cap)
         image = z_map(shuffle(w1, w2))
         per_term = term_tolerance(tol, (q for _, q in image))
         lhs = float(image.constant)
         for c, q in image:
-            lhs += float(q) * eval_numeric(c, tol=per_term, depth_cap=depth_cap).value
-        rhs = (
-            eval_numeric(composition_from_word(w1), tol=tol / 8.0, depth_cap=depth_cap).value
-            * eval_numeric(composition_from_word(w2), tol=tol / 8.0, depth_cap=depth_cap).value
+            lhs += float(q) * values.semi(c, per_term)
+        rhs = values.semi(composition_from_word(w1), tol / 8.0) * values.semi(
+            composition_from_word(w2), tol / 8.0
         )
-        return _compare("shuffle", f"{w1} shuffled {w2}", "lhs", "rhs", lhs, rhs, tol)
+        return _compare(
+            "shuffle", f"{w1} shuffled {w2}", "lhs", "rhs", lhs, rhs, tol, values.converged
+        )
 
     return [(f"{w1}|{w2}", run, (w1, w2)) for w1, w2 in pairs]
 
@@ -117,12 +145,12 @@ def suite_embedding(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) 
 
     def run(c):
         lo, hi = depth_embedding(c)
-        lhs = eval_numeric(c, tol=tol / 4.0, depth_cap=depth_cap).value
-        rhs = (
-            eval_numeric(lo, tol=tol / 4.0, depth_cap=depth_cap).value
-            + eval_numeric(hi, tol=tol / 4.0, depth_cap=depth_cap).value
+        values = _Values(depth_cap)
+        lhs = values.semi(c, tol / 4.0)
+        rhs = values.semi(lo, tol / 4.0) + values.semi(hi, tol / 4.0)
+        return _compare(
+            "embedding", f"{c} = {lo} + {hi}", "lhs", "rhs", lhs, rhs, tol, values.converged
         )
-        return _compare("embedding", f"{c} = {lo} + {hi}", "lhs", "rhs", lhs, rhs, tol)
 
     return [(str(c), run, c) for c in comps]
 
@@ -131,11 +159,10 @@ def suite_unitcube(max_depth: int = 4, tol: float = 1e-6, depth_cap: int = 6) ->
     """Unit-cube all-ones integral against the semi-infinite form, r = 2..max_depth."""
 
     def run(r):
-        cube = eval_unit_cube_ones(r, tol=tol / 4.0)
-        semi = eval_numeric(
-            Composition((1,) * (r - 1) + (2,)), tol=tol / 4.0, depth_cap=depth_cap
-        )
-        return _compare("unitcube", f"depth {r}", "cube", "semi", cube.value, semi.value, tol)
+        values = _Values(depth_cap)
+        cube = values.cube(r, tol / 4.0)
+        semi = values.semi(Composition((1,) * (r - 1) + (2,)), tol / 4.0)
+        return _compare("unitcube", f"depth {r}", "cube", "semi", cube, semi, tol, values.converged)
 
     return [(f"r={r}", run, r) for r in range(2, max_depth + 1)]
 
@@ -147,11 +174,12 @@ def suite_bounds(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) -> 
 
     def run(c):
         bound = float(convergence_bound(tuple(float(k) for k in c.parts)))
-        val = eval_numeric(c, tol=default_tolerance(c.depth), depth_cap=depth_cap).value
+        values = _Values(depth_cap)
+        val = values.semi(c, default_tolerance(c.depth))
         # depth 1 saturates the bound exactly (the bound IS the value there)
         ok = 0.0 < val < bound if c.depth >= 2 else 0.0 < val <= bound
         return CheckResult(
-            "bounds", str(c), ok, f"value={val:.10f} bound={bound:.10f} ok={ok}"
+            "bounds", str(c), ok, f"value={val:.10f} bound={bound:.10f} ok={ok}", values.converged
         )
 
     return [(str(c), run, c) for c in comps]
@@ -170,9 +198,9 @@ def suite_reduction(
     def run_comp(c):
         sc = reduce_to_basis(c, depth_cap=depth_cap)
         bad_ids = [ids for ids, _ in sc.basis if sum(ids) != c.depth or any(m != int(m) for m in ids)]
-        sym, num = reduction_residual(sc, c, tol / 4.0, depth_cap)
+        sym, num, converged = reduction_residual(sc, c, tol / 4.0, depth_cap)
         note = f" bad_ids={bad_ids}" if bad_ids else ""
-        return _compare("reduction", str(c), "symbolic", "numeric", sym, num.value, tol, note)
+        return _compare("reduction", str(c), "symbolic", "numeric", sym, num, tol, converged, note)
 
     def run_counts(r):
         n = sum(1 for _ in basis_ids(r))
@@ -187,9 +215,9 @@ def suite_reduction(
         m1, m2 = args
         sc = reduce_to_basis(Composition((1, 2)), (m1, m2))
         target = ShiftedCMZV((m1, m2), Composition((1, 2)))
-        sym, num = reduction_residual(sc, target, tol / 4.0, depth_cap)
+        sym, num, converged = reduction_residual(sc, target, tol / 4.0, depth_cap)
         name = f"shifted (1,2) bounds ({m1},{m2})"
-        return _compare("reduction", name, "symbolic", "numeric", sym, num.value, tol)
+        return _compare("reduction", name, "symbolic", "numeric", sym, num, tol, converged)
 
     checks = [(str(c), run_comp, c) for c in comps]
     checks.extend((f"count r={r}", run_counts, r) for r in range(1, 11))
@@ -235,13 +263,14 @@ def run_suite(
         # harness self-test: a deliberately wrong constant must be caught
         def run_corrupt(_):
             wrong = 0.6941471805599453  # log 2 corrupted in the third digit
-            val = eval_numeric(Composition((1, 2)), tol=1e-9).value
-            diff = abs(val - wrong)
+            res = quad.eval_numeric(Composition((1, 2)), tol=1e-9)
+            diff = abs(res.value - wrong)
             return CheckResult(
                 "self-test",
                 "corrupted constant for (1,2)",
                 diff <= 1e-6,
-                f"value={val:.10f} claimed={wrong:.10f} diff={diff:.3e}",
+                f"value={res.value:.10f} claimed={wrong:.10f} diff={diff:.3e}",
+                res.converged,
             )
 
         checks.append(("corrupt", run_corrupt, None))

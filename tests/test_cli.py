@@ -2,6 +2,7 @@
 check of the installed entry point."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import time
 
 import pytest
 
-from cmzv import NumericResult
+from cmzv import NumericResult, quad
 from cmzv.cli import main, render_symbolic, render_word_sum
 from cmzv.reduce import SymbolicConstant
 from fractions import Fraction
@@ -81,6 +82,12 @@ def test_eval_depth_over_cap(capsys):
 def test_eval_unparsable_composition(capsys):
     assert main(["eval", "2,a"]) == 2
     assert "comma-separated" in capsys.readouterr().err
+
+
+def test_eval_value_beyond_float_range_is_usage_error(capsys):
+    # zeta_{1e-300,1}(3,2) is about 1e600 / 4
+    assert main(["eval", "3,2", "--bounds", "1e-300,1"]) == 2
+    assert "float range" in capsys.readouterr().err
 
 
 def test_eval_nonconverged_exit_code(monkeypatch, capsys):
@@ -326,6 +333,40 @@ def test_verify_csv_rows(capsys):
         ["unitcube", "depth 2", "True"],
         ["unitcube", "depth 3", "True"],
     ]
+
+
+def _unconverged(monkeypatch):
+    """Every semi-infinite value keeps its number but reports converged=False."""
+    real = quad.eval_numeric
+    monkeypatch.setattr(
+        "cmzv.quad.eval_numeric",
+        lambda *a, **k: dataclasses.replace(real(*a, **k), converged=False),
+    )
+
+
+def test_verify_exits_3_when_a_passing_check_rests_on_unconverged_values(monkeypatch, capsys):
+    _unconverged(monkeypatch)
+    assert main(["verify", "unitcube", "--format", "json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert [r["converged"] for r in payload["results"]] == [False, False, False]
+    assert main(["verify", "unitcube"]) == 3
+    assert "3/3 checks passed; 3 rest on values that did not converge" in capsys.readouterr().out
+
+
+def test_verify_failure_outranks_non_convergence(monkeypatch, capsys):
+    _unconverged(monkeypatch)
+    assert main(["verify", "unitcube", "--corrupt"]) == 1
+
+
+def test_reduce_exits_3_on_unconverged_generator(monkeypatch, capsys):
+    # (1,1,3) reduces to -1/4*log 3 + 1/2*B(1,1,1); only the generator misses
+    real = quad.eval_basis_generator
+    monkeypatch.setattr(
+        "cmzv.quad.eval_basis_generator",
+        lambda *a, **k: dataclasses.replace(real(*a, **k), converged=False),
+    )
+    assert main(["reduce", "1,1,3"]) == 3
 
 
 def test_verify_rejects_unknown_suite():

@@ -1,16 +1,13 @@
 """Fuzzed command lines: every one ends in exit code 0, 1, 2 or 3.
 
-hypothesis drives cli.main in-process with three kinds of input: shuffle on
+hypothesis drives cli.main in-process with four kinds of input: shuffle on
 two short words over {x, y, z}, poles over a range of depths and k_max that
-includes invalid ones, and each subcommand with one malformed argument.  Of
-the documented exit codes {0, 1, 2, 3}, these inputs may only end in 0 (an
-answer, or --help) or 2 (a usage error): none verifies or integrates
-anything.  Any other code, an escaping exception, or a traceback on stderr
-fails the test.
-
-No generated case runs quadrature deeper than depth 3: the malformed
-arguments are rejected before any value is computed.  Valid deep numeric
-inputs can run for hours and wait for a numeric work budget.
+includes invalid ones, each subcommand with one malformed argument, and eval
+of a valid composition of depth 3 to 6 and weight at most 8.  The first three
+may only end in 0 (an answer, or --help) or 2 (a usage error): none verifies
+or integrates anything.  eval may end in 0 or 3 (an answer that did not
+converge within the numeric work cap).  Any other code, an escaping
+exception, or a traceback on stderr fails the test.
 """
 
 import contextlib
@@ -21,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmzv.cli import main
+from cmzv.compositions import admissible_compositions
 from cmzv.verify import SUITES
 
 _SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -100,3 +98,17 @@ def test_fuzz_poles(r, k_max, fmt):
 )
 def test_fuzz_malformed_argument(argv):
     assert _run(argv) in {0, 2}
+
+
+_DEEP = [
+    ",".join(map(str, c.parts))
+    for w in range(4, 9)
+    for c in admissible_compositions(w)
+    if 3 <= c.depth <= 6
+]
+
+
+@_SETTINGS
+@given(st.sampled_from(_DEEP), st.sampled_from(["table", "json", "csv"]))
+def test_fuzz_deep_eval(composition, fmt):
+    assert _run(["eval", composition, "--format", fmt]) in {0, 3}
