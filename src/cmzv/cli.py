@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--step-budget", type=int, default=_env("STEP_BUDGET", int, 10_000),
-        help="maximum distinct terms a reduction rewrites (default 10000)",
+        help="maximum distinct terms a reduction rewrites; a term memoized by an "
+        "earlier reduction in the process costs nothing (default 10000)",
     )
     common.add_argument(
         "--format", choices=_FORMATS, default=_env("FORMAT", str, "table"),

@@ -36,12 +36,12 @@ class Hyperplane:
     constant: int
 
     def __init__(self, coefficients: Sequence[int], constant: int):
-        ct = tuple(int(m) for m in coefficients)
+        ct = tuple(map(int, coefficients))
         if not ct:
             raise DomainError("a hyperplane needs at least one coefficient")
-        if any(m < 1 for m in ct):
+        if min(ct) < 1:
             raise DomainError(f"coefficients must be positive, got {ct}")
-        if any(a < b for a, b in zip(ct, ct[1:])):
+        if list(ct) != sorted(ct, reverse=True):
             raise DomainError(f"coefficients must be non-increasing, got {ct}")
         object.__setattr__(self, "coefficients", ct)
         object.__setattr__(self, "constant", int(constant))

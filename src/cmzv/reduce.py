@@ -108,6 +108,8 @@ class GenTerm:
     ) -> "GenTerm":
         if bounds is None:
             bounds = (Fraction(1),) * c.depth
+        if len(bounds) != c.depth:
+            raise DomainError(f"{len(bounds)} bounds for depth-{c.depth} exponents")
         return cls(Fraction(1), bounds, [(i + 1, Fraction(0), k) for i, k in enumerate(c.parts)])
 
     @property
@@ -497,13 +499,19 @@ def depth2_closed_form(m1: Fraction | int, m2: Fraction | int) -> SymbolicConsta
     return SymbolicConstant(0, [(p, Fraction(mult, 1) / m2) for p, mult in _factored_log((m1 + m2) / m1)])
 
 
-_REDUCE_CACHE: dict[tuple, SymbolicConstant] = {}
+# The term memo: the value of each finished unit-coefficient term, keyed
+# (bounds, factors), for every reduction in the process.  A call that
+# succeeds merges its terms in; a merge past _MAX_TERMS empties it first.
+_MAX_TERMS = 1 << 14
+_TERMS: dict[tuple, SymbolicConstant] = {}
 _reduce_lock = threading.Lock()
 
 
 def clear_caches() -> None:
+    """Empty the term memo, so that the next reduction starts cold and its
+    step budget counts every term it needs, not only the ones not memoized."""
     with _reduce_lock:
-        _REDUCE_CACHE.clear()
+        _TERMS.clear()
 
 
 def _split_multi_factor(t: GenTerm) -> tuple[list[GenTerm], SymbolicConstant]:
@@ -602,9 +610,10 @@ def reduce_to_basis(
     Rewrites by integration by parts at the leftmost exponent >= 2 until
     every term is rational, a prime log, or an all-ones-then-2 generator of
     depth >= 3.  Like terms are merged: each distinct (bounds, factors) term
-    is rewritten once, with unit coefficient, and its value is reused by
-    every term that produces it, scaled by that term's coefficient.  The
-    step budget bounds the number of distinct terms rewritten.
+    is rewritten once, with unit coefficient, and its value, kept in the term
+    memo (see clear_caches), is reused by every term of this or a later call
+    that produces it, scaled by that term's coefficient.  The step budget
+    bounds the distinct terms this call rewrites; a memo hit costs none.
     """
     if not isinstance(c, Composition):
         c = Composition(c)
@@ -614,20 +623,16 @@ def reduce_to_basis(
         raise CapacityError(f"depth {c.depth} exceeds the configured cap {depth_cap}")
     initial = GenTerm.from_composition(c, bounds)
 
-    key = (initial.bounds, c.parts)
-    with _reduce_lock:
-        hit = _REDUCE_CACHE.get(key)
-    if hit is not None:
-        return hit
-
     # Post-order over the DAG of distinct terms.  A stack entry is
     # [key, term, rewrite]; on the first visit the term is rewritten and the
     # terms it produced are pushed above it, so by the second visit every
     # one of them has a value.  A term produced twice is rewritten once: its
-    # second entry finds the value already there.  A rewrite that reproduced
-    # an unfinished term would rewrite it again, so the step budget also
-    # stops any cycle.
+    # second entry finds the value in `values` or in the memo (one dict read
+    # is atomic, so no lock), and memo hits are copied into `values`, where
+    # no concurrent clear can reach them.  A rewrite that reproduced an
+    # unfinished term would rewrite it again, so the budget stops any cycle.
     values: dict[tuple, SymbolicConstant] = {}
+    fresh: list[tuple[tuple, SymbolicConstant]] = []
     rewrites = 0
     root = (initial.bounds, initial.factors)
     stack = [[root, initial, None]]
@@ -635,7 +640,9 @@ def reduce_to_basis(
         entry = stack[-1]
         tkey, t, node = entry
         if node is None:
-            if tkey in values:
+            hit = values.get(tkey) or _TERMS.get(tkey)
+            if hit is not None:
+                values[tkey] = hit
                 stack.pop()
                 continue
             rewrites += 1
@@ -650,23 +657,27 @@ def reduce_to_basis(
                 continue
         stack.pop()
         children, resolved = node
-        if not children:
-            values[tkey] = resolved
-            continue
-        rational = resolved.rational
-        logs = dict(resolved.logs)
-        basis = dict(resolved.basis)
-        for ukey, u, _ in children:
-            sc = values[ukey]
-            q = u.coeff
-            rational += q * sc.rational
-            for p, x in sc.logs:
-                logs[p] = logs.get(p, 0) + q * x
-            for ids, x in sc.basis:
-                basis[ids] = basis.get(ids, 0) + q * x
-        values[tkey] = SymbolicConstant(rational, logs, basis)
+        if children:
+            rational = resolved.rational
+            logs = dict(resolved.logs)
+            basis = dict(resolved.basis)
+            for ukey, u, _ in children:
+                sc = values[ukey]
+                q = u.coeff
+                rational += q * sc.rational
+                for p, x in sc.logs:
+                    logs[p] = logs.get(p, 0) + q * x
+                for ids, x in sc.basis:
+                    basis[ids] = basis.get(ids, 0) + q * x
+            resolved = SymbolicConstant(rational, logs, basis)
+        values[tkey] = resolved
+        fresh.append((tkey, resolved))
 
-    result = values[root]
+    # only the terms rewritten here are merged: hashing a key of Fractions
+    # costs more than the rest of a memo hit
     with _reduce_lock:
-        _REDUCE_CACHE[key] = result
-    return result
+        if len(_TERMS) + len(fresh) > _MAX_TERMS:
+            _TERMS.clear()
+        if len(fresh) <= _MAX_TERMS:
+            _TERMS.update(fresh)
+    return values[root]

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from cmzv import NumericResult, quad
+from cmzv import NumericResult, quad, reduce
 from cmzv.cli import main, render_symbolic, render_word_sum
 from cmzv.reduce import SymbolicConstant
 from fractions import Fraction
@@ -133,9 +133,20 @@ def test_reduce_with_bounds(capsys):
 
 
 def test_reduce_step_budget_exhaustion(capsys):
-    # fresh bounds keep the memo cache out of the way
+    # a cold memo, since memo hits, subterms shared with earlier calls
+    # included, cost no budget
+    reduce.clear_caches()
     assert main(["reduce", "2,2,2", "--bounds", "3,1,1", "--step-budget", "1"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", ["1,1,1", "1"])
+def test_reduce_bound_count_must_match_depth(capsys, bounds):
+    assert main(["reduce", "2,2", "--bounds", bounds]) == 2
+    n = len(bounds.split(","))
+    assert f"{n} bounds for depth-2 exponents" in capsys.readouterr().err
+    assert main(["eval", "2,2", "--bounds", bounds]) == 2
+    assert f"{n} bounds for depth-2 exponents" in capsys.readouterr().err
 
 
 def test_reduce_large_prime_bound_finishes():

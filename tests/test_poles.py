@@ -54,6 +54,18 @@ def test_hyperplane_validation():
         Hyperplane((1, 2), 0)  # must be non-increasing
 
 
+def test_hyperplane_validation_messages():
+    with pytest.raises(DomainError, match=r"^a hyperplane needs at least one coefficient$"):
+        Hyperplane([], 0)
+    with pytest.raises(DomainError, match=r"^coefficients must be positive, got \(2, 0\)$"):
+        Hyperplane((2, 0), 0)
+    with pytest.raises(DomainError, match=r"^coefficients must be non-increasing, got \(1, 2\)$"):
+        Hyperplane([1, 2], 0)
+    # positivity is checked before order
+    with pytest.raises(DomainError, match="positive"):
+        Hyperplane((0, 1), 0)
+
+
 def test_hyperplane_hash_and_equality():
     assert Hyperplane([2, 1], 1) == Hyperplane((2, 1), 1)
     assert len({Hyperplane((1,), 0), Hyperplane((1,), 0)}) == 1

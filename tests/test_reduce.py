@@ -3,6 +3,8 @@ fractions, tail integration, and full reduction to the graded basis."""
 
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,10 @@ from cmzv import (
     integrate_tail,
     partial_fractions,
     reduce_to_basis,
+    sum_formula_lhs_terms,
+    sum_formula_rhs,
 )
+from cmzv import reduce as reduce_module
 from cmzv.reduce import _factored_log, _ibp_at, _split_multi_factor, clear_caches
 
 F = Fraction
@@ -423,9 +428,96 @@ def test_reduce_weight_nine_within_budget():
 
 
 def test_reduce_step_budget_exhaustion():
-    # bounds chosen to dodge the memo cache, which is consulted first
+    # a cold memo, since memo hits, subterms shared with earlier calls
+    # included, cost no budget
+    clear_caches()
     with pytest.raises(CapacityError):
         reduce_to_basis(Composition((2, 2, 2)), bounds=(F(17, 5), 1, 1), step_budget=2)
+
+
+# ---------------------------------------------------------------- term memo
+
+
+def memo_inputs(max_weight):
+    return [c for c in admissible_upto(max_weight) if c.depth <= 6]
+
+
+def test_term_memo_is_order_independent():
+    inputs = memo_inputs(8)
+    expected = {c: plain_stack_reduce(c) for c in inputs}
+    clear_caches()
+    for c in inputs:
+        assert reduce_to_basis(c) == expected[c], c
+    random.Random(11).shuffle(inputs)
+    for c in inputs:
+        assert reduce_to_basis(c) == expected[c], c
+    clear_caches()
+
+
+def test_term_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(reduce_module, "_MAX_TERMS", 8)
+    inputs = memo_inputs(7)
+    random.Random(5).shuffle(inputs)
+    clear_caches()
+    sizes = []
+    for c in inputs[:30]:
+        assert reduce_to_basis(c) == plain_stack_reduce(c), c
+        sizes.append(len(reduce_module._TERMS))
+        assert sizes[-1] <= 8, c
+    # entries were stored, and a merge past the cap emptied the memo
+    assert max(sizes) > 0
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    clear_caches()
+
+
+def test_term_memo_under_threads(monkeypatch):
+    inputs = memo_inputs(7)
+    clear_caches()
+    serial = [reduce_to_basis(c) for c in inputs]
+    # a cap this small empties the memo while other calls are running, and
+    # a short switch interval interleaves the threads finely
+    monkeypatch.setattr(reduce_module, "_MAX_TERMS", 16)
+    clear_caches()
+    order = inputs * 3
+    random.Random(3).shuffle(order)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(reduce_to_basis, order, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [serial[inputs.index(c)] for c in order]
+    assert len(reduce_module._TERMS) <= 16
+    clear_caches()
+
+
+def test_term_memo_hits_cost_no_budget():
+    c, bounds = Composition((2, 2, 2)), (F(17, 5), 1, 1)
+    clear_caches()
+    with pytest.raises(CapacityError):
+        reduce_to_basis(c, bounds=bounds, step_budget=2)
+    assert not reduce_module._TERMS  # a call that raises stores nothing
+    warm = reduce_to_basis(c, bounds=bounds)
+    assert reduce_to_basis(c, bounds=bounds, step_budget=2) == warm
+    # without the root, only the root is rewritten: its subterms are hits
+    root = GenTerm.from_composition(c, bounds)
+    del reduce_module._TERMS[root.bounds, root.factors]
+    assert reduce_to_basis(c, bounds=bounds, step_budget=1) == warm
+    clear_caches()
+
+
+def test_sum_formulas_hold_exactly():
+    # sum over f != 0 of f * reduce(target) = sum_formula_rhs(r, k): every
+    # log and generator coefficient cancels, with no quadrature
+    for r in range(2, 5):
+        for k in range(2 * r - 1, 12):
+            total = SymbolicConstant()
+            for c, f in sum_formula_lhs_terms(r, k):
+                if f:
+                    total = total + reduce_to_basis(c).scaled(f)
+            assert total.logs == () and total.basis == (), (r, k)
+            assert total.rational == sum_formula_rhs(r, k), (r, k)
 
 
 def test_reduce_shifted_closed_form_grid():
