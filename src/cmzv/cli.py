@@ -226,7 +226,6 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         max_weight=args.max_weight,
         tol=cfg.tolerance,
         depth_cap=cfg.depth_cap,
-        jobs=cfg.jobs,
         seed=cfg.seed,
         corrupt=args.corrupt,
     )
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=int, default=_env("JOBS", int, 1),
-        help="concurrent workers for verify (default 1)",
+        help="accepted and has no effect: verify runs its checks in order (must be >= 1)",
     )
     common.add_argument(
         "--seed", type=int, default=_env("SEED", int, 0),

@@ -10,16 +10,15 @@ Each suite produces an ordered list of CheckResult rows.  Suites:
                emitted basis ids sum to the depth; generator counts are 2^(r-1)
 
 Each row also says whether every numeric value it rests on converged.
-Independent checks may run concurrently (--jobs); result order is fixed by
-construction order regardless of completion order.  The corrupt flag
-deliberately mis-states one expected constant so callers can watch the
-harness fail; it must never pass.
+Each suite lists only checks whose values fit the depth cap.  Checks run in
+order in the calling thread, so results come in construction order.  The
+corrupt flag deliberately mis-states one expected constant so callers can
+watch the harness fail; it must never pass.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import quad
@@ -100,23 +99,26 @@ def reduction_residual(
     return symbolic, values.semi(target, tol), values.converged
 
 
-def _admissible_words(max_weight: int) -> list[str]:
-    out = []
-    for w in range(2, max_weight + 1):
-        out.extend(word_from_composition(c) for c in admissible_compositions(w))
-    return out
+def _compositions(max_weight: int, max_depth: int) -> list[Composition]:
+    """The admissible compositions of weight <= max_weight and depth <= max_depth."""
+    return [
+        c
+        for w in range(2, max_weight + 1)
+        for c in admissible_compositions(w)
+        if c.depth <= max_depth
+    ]
 
 
 def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = 6) -> list:
     """Numeric product rule for every unordered pair of admissible words with
-    total weight <= max_weight."""
+    total weight <= max_weight and total depth <= depth_cap."""
 
-    words = _admissible_words(max_weight - 2)
+    words = [word_from_composition(c) for c in _compositions(max_weight - 2, depth_cap)]
     pairs = [
         (w1, w2)
         for i, w1 in enumerate(words)
         for w2 in words[i:]
-        if len(w1) + len(w2) <= max_weight
+        if len(w1) + len(w2) <= max_weight and w1.count("y") + w2.count("y") <= depth_cap
     ]
 
     def run(pair):
@@ -138,10 +140,11 @@ def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = 6) ->
 
 
 def suite_embedding(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) -> list:
-    """One-step depth raising for every admissible composition up to max_weight."""
+    """One-step depth raising for every admissible composition up to
+    max_weight whose raised depth fits depth_cap."""
     from .reduce import depth_embedding
 
-    comps = [c for w in range(2, max_weight + 1) for c in admissible_compositions(w)]
+    comps = _compositions(max_weight, depth_cap - 1)
 
     def run(c):
         lo, hi = depth_embedding(c)
@@ -169,8 +172,8 @@ def suite_unitcube(max_depth: int = 4, tol: float = 1e-6, depth_cap: int = 6) ->
 
 def suite_bounds(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) -> list:
     """Numeric value strictly inside (0, convergence_bound) for every
-    admissible composition up to max_weight."""
-    comps = [c for w in range(2, max_weight + 1) for c in admissible_compositions(w)]
+    admissible composition up to max_weight and depth_cap."""
+    comps = _compositions(max_weight, depth_cap)
 
     def run(c):
         bound = float(convergence_bound(tuple(float(k) for k in c.parts)))
@@ -191,9 +194,10 @@ def suite_reduction(
     depth_cap: int = 6,
     seed: int = 0,
 ) -> list:
-    """Exact reduction vs quadrature, basis-id bookkeeping, generator counts,
-    and seeded random shifted-bound spot checks."""
-    comps = [c for w in range(2, max_weight + 1) for c in admissible_compositions(w)]
+    """Exact reduction vs quadrature for the admissible compositions up to
+    max_weight and depth_cap, basis-id bookkeeping, generator counts, and
+    seeded random shifted-bound spot checks of depth 2 when the cap allows."""
+    comps = _compositions(max_weight, depth_cap)
 
     def run_comp(c):
         sc = reduce_to_basis(c, depth_cap=depth_cap)
@@ -221,10 +225,11 @@ def suite_reduction(
 
     checks = [(str(c), run_comp, c) for c in comps]
     checks.extend((f"count r={r}", run_counts, r) for r in range(1, 11))
-    rng = random.Random(seed)
-    for _ in range(5):
-        m1, m2 = rng.randint(1, 6), rng.randint(1, 6)
-        checks.append((f"shifted {m1},{m2}", run_shifted, (m1, m2)))
+    if depth_cap >= 2:
+        rng = random.Random(seed)
+        for _ in range(5):
+            m1, m2 = rng.randint(1, 6), rng.randint(1, 6)
+            checks.append((f"shifted {m1},{m2}", run_shifted, (m1, m2)))
     return checks
 
 
@@ -248,7 +253,8 @@ def run_suite(
     seed: int = 0,
     corrupt: bool = False,
 ) -> list[CheckResult]:
-    """Run one suite (or 'all'), returning results in deterministic order."""
+    """Run one suite (or 'all') in order in the calling thread.  jobs is
+    accepted for compatibility and has no effect."""
     names = SUITES if name == "all" else (name,)
     checks = []
     for n in names:
@@ -275,7 +281,4 @@ def run_suite(
 
         checks.append(("corrupt", run_corrupt, None))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda item: item[1](item[2]), checks))
     return [fn(arg) for _, fn, arg in checks]

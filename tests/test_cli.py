@@ -336,6 +336,35 @@ def test_verify_unitcube_respects_depth_cap(capsys):
     assert "2/2 checks passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_verify_all_fits_every_depth_cap(capsys, cap):
+    # each suite lists only the checks whose values fit the cap
+    assert main(["verify", "all", "--depth-cap", str(cap)]) == 0
+    assert "checks passed" in capsys.readouterr().out
+
+
+def test_verify_embedding_past_default_weight_fits_cap(capsys):
+    assert main(["verify", "embedding", "--max-weight", "7", "--depth-cap", "4"]) == 0
+    assert "checks passed" in capsys.readouterr().out
+
+
+def test_verify_jobs_has_no_effect(capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        quad.clear_caches()
+        reduce.clear_caches()
+        assert main(["verify", "all", "--jobs", jobs, "--format", "csv"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_jobs_must_be_positive(capsys, monkeypatch):
+    assert main(["verify", "unitcube", "--jobs", "0"]) == 2
+    assert "jobs must all be >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("CMZV_JOBS", "0")
+    assert main(["verify", "unitcube"]) == 2
+
+
 def test_verify_csv_rows(capsys):
     assert main(["verify", "unitcube", "--depth-cap", "3", "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))

@@ -2,8 +2,9 @@
 
 Oracles: the depth-2 closed form log((m1 + m2)/m1)/m2 of zeta_{m1,m2}(1,2),
 evaluated in mpmath for bounds from 1e-300 to 1e300; mpmath.quad for shifted
-depth-3 values; and a tensor Gauss-Legendre rule on the unit-cube form of
-zeta(1,...,1,2), whose integrand is analytic on the closed cube.
+depth-3 values; a tensor Gauss-Legendre rule on the unit-cube form of
+zeta(1,...,1,2), whose integrand is analytic on the closed cube; and closed
+forms of one-dimensional integrals over [lower, oo).
 """
 
 import math
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from cmzv import quad
-from cmzv.quad import ShiftedCMZV, eval_numeric, eval_unit_cube_ones
+from cmzv.errors import DomainError
+from cmzv.quad import ShiftedCMZV, eval_numeric, eval_unit_cube_ones, integrate_semi_infinite
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -110,3 +112,45 @@ def test_estimate_bounds_error_on_unit_cube(cube_values, r, tol):
 def test_estimate_bounds_error_on_semi_infinite_ones(cube_values, r, tol):
     quad.clear_caches()
     _check(eval_numeric((1,) * (r - 1) + (2,), tol), cube_values[r], tol)
+
+
+def _semi_infinite_cases():
+    """(name, f, lower, exact) for integrals over [lower, oo) with closed forms."""
+    for p in (1.05, 1.1, 1.3, 1.5, 2.0, 3.0, 4.5, 8.0):
+        for lower in (0.5, 1.0, 3.0):
+            yield f"x^-{p} from {lower}", lambda x, p=p: x**-p, lower, lower ** (1 - p) / (p - 1)
+    yield "1/(1+x^2)", lambda x: 1.0 / (1.0 + x * x), 0.0, math.pi / 2
+    yield "e^-x cos x", lambda x: np.exp(-x) * np.cos(x), 0.0, 0.5
+    yield "1/(x(x+1))", lambda x: 1.0 / (x * (x + 1.0)), 1.0, math.log(2.0)
+    yield "e^-x^2", lambda x: np.exp(-x * x), 0.0, math.sqrt(math.pi) / 2
+    yield "e^-x/sqrt(x)", lambda x: np.exp(-x) / np.sqrt(x), 0.0, math.sqrt(math.pi)
+    for lower in (1e10, 1e100):
+        yield f"x^-2 from {lower:.0e}", lambda x: x**-2.0, lower, 1.0 / lower
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize(
+    "name, f, lower, exact", [pytest.param(*case, id=case[0]) for case in _semi_infinite_cases()]
+)
+def test_integrate_semi_infinite_estimate_is_honest(name, f, lower, exact, tol):
+    # x^-1.05 needs E = exp(pi sinh s) past the float range at 1e-12: there
+    # the honest answers are converged=False and DomainError, never a claim.
+    try:
+        res = integrate_semi_infinite(f, lower, tol)
+    except DomainError as exc:
+        assert name.startswith("x^-1.05") and tol == 1e-12, name
+        assert "exp-sinh map overflowed" in str(exc)
+        return
+    actual = abs(res.value - exact)
+    assert actual <= res.error_estimate, (res, exact)
+    if res.converged:
+        assert actual <= tol, (res, exact)
+    if name.startswith("x^-1.05") and tol == 1e-12:
+        assert not res.converged, res
+
+
+def test_integrate_semi_infinite_far_lower_bound_at_tight_tolerance():
+    # once about 7e-18 with converged=True; the value is 1e-10
+    res = integrate_semi_infinite(lambda x: x**-2.0, 1e10, 1e-20)
+    assert abs(res.value - 1e-10) <= res.error_estimate <= 1e-20
+    assert res.converged
