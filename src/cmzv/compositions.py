@@ -20,9 +20,6 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError, WordEncodingError
 
-# Real exponent tuples are plain tuples of finite floats.
-RealTuple = tuple[float, ...]
-
 
 @dataclass(frozen=True, order=True)
 class Composition:

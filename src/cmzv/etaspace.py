@@ -22,17 +22,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .compositions import Composition
 from .errors import DomainError
+from .linear import LinearCombination, normal_form
+
+
+def _check_basis_key(key: tuple[int, int]) -> tuple[int, int]:
+    n, l = key
+    if not (isinstance(n, int) and n >= 0):
+        raise DomainError(f"shift must be an integer >= 0, got {n!r}")
+    if not (isinstance(l, int) and l >= 1):
+        raise DomainError(f"exponent must be an integer >= 1, got {l!r}")
+    return (n, l)
 
 
 @dataclass(frozen=True)
-class VElement:
-    """Rational combination of basis functions 1/(x+n)^l, keyed by (n, l).
-
-    Terms are sorted by (shift n, exponent l); zero coefficients are dropped.
+class VElement(LinearCombination):
+    """Rational combination of basis functions 1/(x+n)^l, keyed by (n, l),
+    in the normal form of linear.normal_form: terms sorted by (shift n,
+    exponent l), zero coefficients dropped.
     """
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
@@ -41,41 +51,14 @@ class VElement:
         self,
         terms: Mapping[tuple[int, int], Fraction] | Iterable[tuple[tuple[int, int], Fraction]] = (),
     ):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (n, l), coeff in items:
-            if not (isinstance(n, int) and n >= 0):
-                raise DomainError(f"shift must be an integer >= 0, got {n!r}")
-            if not (isinstance(l, int) and l >= 1):
-                raise DomainError(f"exponent must be an integer >= 1, got {l!r}")
-            q = Fraction(coeff)
-            if q:
-                acc[(n, l)] = acc.get((n, l), Fraction(0)) + q
-        clean = tuple(sorted((k, q) for k, q in acc.items() if q))
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", normal_form(terms, _check_basis_key))
 
     @classmethod
     def basis(cls, n: int, l: int) -> "VElement":
         return cls([((n, l), Fraction(1))])
 
     def coefficient(self, n: int, l: int) -> Fraction:
-        for key, q in self.terms:
-            if key == (n, l):
-                return q
-        return Fraction(0)
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __add__(self, other: "VElement") -> "VElement":
-        return VElement(list(self.terms) + list(other.terms))
-
-    def scaled(self, q: Fraction | int) -> "VElement":
-        q = Fraction(q)
-        return VElement([(k, c * q) for k, c in self.terms])
+        return super().coefficient((n, l))
 
     def to_json(self) -> list[dict]:
         return [{"n": n, "l": l, "coeff": str(q)} for (n, l), q in self.terms]

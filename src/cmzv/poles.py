@@ -20,7 +20,9 @@ from typing import Sequence
 
 from .errors import CapacityError, DomainError
 
-_MAX_R = 8  # r! permutations; factorial growth cap
+# Depth cap: the Catalan(r+1) - 1 prefixes are listed before the _MAX_PLANES
+# check can run (4,861 at r = 8, 16,795 at r = 9, 742,899 at r = 12).
+_MAX_R = 8
 _MAX_PLANES = 10**6  # cap on prefixes * k_max, checked before any plane is built
 
 

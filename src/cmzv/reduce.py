@@ -50,6 +50,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .compositions import Composition, compositions_of, is_admissible
 from .errors import CapacityError, DivergenceError, DomainError, RewriteError
+from .linear import normal_form
 
 Factor = tuple[int, Fraction, int]  # (index, shift, exponent)
 
@@ -136,12 +137,20 @@ class GenTerm:
         return tuple(exps)
 
 
+def _check_basis_id(ids: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    key = tuple(Fraction(m) for m in ids)
+    if any(m <= 0 for m in key):
+        raise DomainError(f"basis ids must be positive, got {key}")
+    return key
+
+
 @dataclass(frozen=True)
 class SymbolicConstant:
     """Exact value: rational + sum(q_p log p) + sum(q_m B_m).
 
     logs are keyed by prime so equal reals have equal representations;
     basis ids are the bound tuples of all-ones-then-2 generators of depth >= 3.
+    Both are kept in the normal form of linear.normal_form.
     """
 
     rational: Fraction
@@ -154,24 +163,9 @@ class SymbolicConstant:
         logs: Mapping[int, Fraction] | Sequence[tuple[int, Fraction]] = (),
         basis: Mapping[tuple, Fraction] | Sequence[tuple[tuple, Fraction]] = (),
     ):
-        log_items = logs.items() if isinstance(logs, Mapping) else logs
-        basis_items = basis.items() if isinstance(basis, Mapping) else basis
-        lacc: dict[int, Fraction] = {}
-        for p, q in log_items:
-            q = Fraction(q)
-            if q:
-                lacc[int(p)] = lacc.get(int(p), Fraction(0)) + q
-        bacc: dict[tuple[Fraction, ...], Fraction] = {}
-        for ids, q in basis_items:
-            q = Fraction(q)
-            key = tuple(Fraction(m) for m in ids)
-            if any(m <= 0 for m in key):
-                raise DomainError(f"basis ids must be positive, got {key}")
-            if q:
-                bacc[key] = bacc.get(key, Fraction(0)) + q
         object.__setattr__(self, "rational", Fraction(rational))
-        object.__setattr__(self, "logs", tuple(sorted((p, q) for p, q in lacc.items() if q)))
-        object.__setattr__(self, "basis", tuple(sorted((k, q) for k, q in bacc.items() if q)))
+        object.__setattr__(self, "logs", normal_form(logs, int))
+        object.__setattr__(self, "basis", normal_form(basis, _check_basis_id))
 
     def __add__(self, other: "SymbolicConstant") -> "SymbolicConstant":
         return SymbolicConstant(
@@ -302,11 +296,12 @@ def _factored_log(value: Fraction) -> list[tuple[int, Fraction]]:
     """log(value) as a Z-combination of logs of primes; value must be > 0."""
     if value <= 0:
         raise DomainError(f"log argument must be positive, got {value}")
-    out: dict[int, Fraction] = {}
-    for n, sign in ((value.numerator, 1), (value.denominator, -1)):
-        for p, mult in _prime_factors(n).items():
-            out[p] = out.get(p, Fraction(0)) + sign * mult
-    return list(out.items())
+    # numerator and denominator are coprime, so no prime appears twice
+    return [
+        (p, Fraction(sign * mult))
+        for n, sign in ((value.numerator, 1), (value.denominator, -1))
+        for p, mult in _prime_factors(n).items()
+    ]
 
 
 def absorb_shifts(t: GenTerm) -> GenTerm:
@@ -535,24 +530,17 @@ def _split_multi_factor(t: GenTerm) -> tuple[list[GenTerm], SymbolicConstant]:
     if s == 1:
         return [], integrate_tail(pieces, t.bounds[0]).scaled(t.coeff)
 
-    out: list[GenTerm] = []
+    # Exponent >= 2 pieces, and every piece at an inner index, stand alone;
+    # at the last index exponent-1 pieces would diverge individually and
+    # telescope into paired differences instead.
+    out = [
+        absorb_shifts(GenTerm(t.coeff * beta, t.bounds, rest + [(q_idx, c, e)]))
+        for c, e, beta in pieces
+        if q_idx < s or e >= 2
+    ]
     if q_idx < s:
-        for c, e, beta in pieces:
-            out.append(
-                absorb_shifts(
-                    GenTerm(t.coeff * beta, t.bounds, rest + [(q_idx, c, e)])
-                )
-            )
         return out, SymbolicConstant()
-
-    # Last index: exponent >= 2 pieces stand alone; exponent-1 pieces would
-    # diverge individually and telescope into paired differences instead.
     singles = sorted((c, beta) for c, e, beta in pieces if e == 1)
-    for c, e, beta in pieces:
-        if e >= 2:
-            out.append(
-                absorb_shifts(GenTerm(t.coeff * beta, t.bounds, rest + [(q_idx, c, e)]))
-            )
     if singles:
         if sum(beta for _, beta in singles) != 0:
             raise RewriteError("unpaired exponent-1 pieces at the last index")
@@ -658,18 +646,12 @@ def reduce_to_basis(
         stack.pop()
         children, resolved = node
         if children:
-            rational = resolved.rational
-            logs = dict(resolved.logs)
-            basis = dict(resolved.basis)
-            for ukey, u, _ in children:
-                sc = values[ukey]
-                q = u.coeff
-                rational += q * sc.rational
-                for p, x in sc.logs:
-                    logs[p] = logs.get(p, 0) + q * x
-                for ids, x in sc.basis:
-                    basis[ids] = basis.get(ids, 0) + q * x
-            resolved = SymbolicConstant(rational, logs, basis)
+            scaled = [(u.coeff, values[ukey]) for ukey, u, _ in children]
+            resolved = SymbolicConstant(
+                resolved.rational + sum(q * sc.rational for q, sc in scaled),
+                [*resolved.logs, *((p, q * x) for q, sc in scaled for p, x in sc.logs)],
+                [*resolved.basis, *((ids, q * x) for q, sc in scaled for ids, x in sc.basis)],
+            )
         values[tkey] = resolved
         fresh.append((tkey, resolved))
 

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .compositions import Composition, composition_from_word, is_admissible_word
 from .errors import CapacityError, DomainError, WordEncodingError
+from .linear import LinearCombination, normal_form
 
 _LETTERS = {"x", "y"}
 
@@ -30,57 +31,26 @@ def _check_word(w: str) -> str:
 
 
 @dataclass(frozen=True)
-class FormalWordSum:
-    """Finite rational linear combination of words, zero coefficients dropped.
-
-    Terms are stored sorted by word (lexicographic), so iteration order and
-    equality are canonical.
+class FormalWordSum(LinearCombination):
+    """Finite rational linear combination of words, in the normal form of
+    linear.normal_form: zero coefficients dropped, terms sorted by word
+    (lexicographic), so iteration order and equality are canonical.
     """
 
     terms: tuple[tuple[str, Fraction], ...]
 
     def __init__(self, terms: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[str, Fraction] = {}
-        for word, coeff in items:
-            _check_word(word)
-            q = Fraction(coeff)
-            if q:
-                acc[word] = acc.get(word, Fraction(0)) + q
-        clean = tuple(sorted((w, q) for w, q in acc.items() if q))
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", normal_form(terms, _check_word))
 
     @classmethod
     def of(cls, word: str, coeff: Fraction | int = 1) -> "FormalWordSum":
         return cls([(word, Fraction(coeff))])
 
-    def coefficient(self, word: str) -> Fraction:
-        for w, q in self.terms:
-            if w == word:
-                return q
-        return Fraction(0)
-
     def words(self) -> tuple[str, ...]:
         return tuple(w for w, _ in self.terms)
 
-    def __iter__(self) -> Iterator[tuple[str, Fraction]]:
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "FormalWordSum") -> "FormalWordSum":
-        return FormalWordSum(list(self.terms) + list(other.terms))
-
     def __sub__(self, other: "FormalWordSum") -> "FormalWordSum":
         return self + other.scaled(-1)
-
-    def scaled(self, q: Fraction | int) -> "FormalWordSum":
-        q = Fraction(q)
-        return FormalWordSum([(w, c * q) for w, c in self.terms])
 
     def total_mass(self) -> Fraction:
         return sum((q for _, q in self.terms), Fraction(0))
@@ -159,6 +129,12 @@ class ZImage:
         }
 
 
+def _admissible_composition(w: str) -> Composition:
+    if not is_admissible_word(w):
+        raise WordEncodingError(f"word {w!r} is non-admissible (y...x) and has no value")
+    return composition_from_word(w)
+
+
 def z_map(a: FormalWordSum | str) -> ZImage:
     """Map each word to its composition; the empty word maps to the scalar 1.
 
@@ -167,15 +143,5 @@ def z_map(a: FormalWordSum | str) -> ZImage:
     """
     if isinstance(a, str):
         a = FormalWordSum.of(a)
-    constant = Fraction(0)
-    collect: dict[Composition, Fraction] = {}
-    for w, q in a:
-        if not is_admissible_word(w):
-            raise WordEncodingError(f"word {w!r} is non-admissible (y...x) and has no value")
-        if w == "":
-            constant += q
-            continue
-        c = composition_from_word(w)
-        collect[c] = collect.get(c, Fraction(0)) + q
-    terms = tuple(sorted(((c, q) for c, q in collect.items() if q), key=lambda t: t[0].parts))
-    return ZImage(constant, terms)
+    terms = normal_form(((w, q) for w, q in a if w), _admissible_composition)
+    return ZImage(a.coefficient(""), terms)
