@@ -31,7 +31,8 @@ def normal_form(
     for k, q in items:
         if key is not None:
             k = key(k)
-        q = Fraction(q)
+        if type(q) is not Fraction:
+            q = Fraction(q)
         if q:
             acc[k] = acc.get(k, 0) + q
     return tuple(sorted((k, q) for k, q in acc.items() if q))

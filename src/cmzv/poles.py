@@ -94,7 +94,9 @@ def pole_hyperplanes(r: int, k_max: int) -> frozenset[Hyperplane]:
     r - t + 1; and any such sequence is realised by placing m_t at step t
     where the minimum drops, and an unused larger value where it does not.)
     The prefixes are counted first: more than _MAX_PLANES planes raise
-    CapacityError before any is built.
+    CapacityError before any is built.  Each prefix then passes the public
+    Hyperplane check once, as its k = 1 plane; its other k_max - 1 planes
+    share that plane's checked coefficient tuple and are not checked again.
     """
     if r < 1:
         raise DomainError(f"depth must be >= 1, got {r}")
@@ -111,9 +113,22 @@ def pole_hyperplanes(r: int, k_max: int) -> frozenset[Hyperplane]:
         raise CapacityError(
             f"{len(prefixes)} prefixes times k_max {k_max} exceeds the plane cap {_MAX_PLANES}"
         )
-    return frozenset(
-        Hyperplane(mins, len(mins) + 1 - k) for mins in prefixes for k in range(1, k_max + 1)
-    )
+    planes = []
+    for mins in prefixes:
+        top = Hyperplane(mins, len(mins))  # k = 1, through the public check
+        ct = top.coefficients
+        planes.append(top)
+        planes += [_checked_plane(ct, len(ct) + 1 - k) for k in range(2, k_max + 1)]
+    return frozenset(planes)
+
+
+def _checked_plane(coefficients: tuple[int, ...], constant: int) -> Hyperplane:
+    """The plane over the coefficients of a Hyperplane that has already been
+    built, and so checked, with a different constant; __init__ does not rerun."""
+    h = object.__new__(Hyperplane)
+    object.__setattr__(h, "coefficients", coefficients)
+    object.__setattr__(h, "constant", constant)
+    return h
 
 
 def depth1_value(s):

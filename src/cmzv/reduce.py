@@ -62,7 +62,12 @@ class GenTerm:
     Invariants enforced here: bounds positive; shifts >= 0; exponents >= 1;
     every variable index carries at least one factor; and the suffix
     conditions sum(exponents at indices >= j) > s - j + 1 hold for every j,
-    so the represented integral converges.
+    so the represented integral converges.  Every construction runs these
+    checks, also of the new terms a rewrite builds from valid ones; only the
+    conversion to Fraction and int is skipped for values already of that
+    type, and the suffix sums come from one pass over per-index totals.  A
+    copy with another coefficient (scaled, and the unit copy a reduction
+    rewrites) keeps the checked bounds and factors and is not checked again.
     """
 
     coeff: Fraction
@@ -75,13 +80,23 @@ class GenTerm:
         bounds: Sequence[Fraction | int],
         factors: Sequence[tuple[int, Fraction | int, int]],
     ):
-        coeff = Fraction(coeff)
-        bt = tuple(Fraction(b) for b in bounds)
-        ft = tuple(sorted((int(i), Fraction(c), int(a)) for i, c, a in factors))
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        bt = tuple(b if type(b) is Fraction else Fraction(b) for b in bounds)
+        ft = tuple(
+            sorted(
+                (
+                    i if type(i) is int else int(i),
+                    c if type(c) is Fraction else Fraction(c),
+                    a if type(a) is int else int(a),
+                )
+                for i, c, a in factors
+            )
+        )
         s = len(bt)
         if any(b <= 0 for b in bt):
             raise DomainError(f"lower bounds must be positive, got {bt}")
-        seen = set()
+        totals = [0] * s  # totals[i - 1]: the exponent sum at index i
         for i, c, a in ft:
             if not 1 <= i <= s:
                 raise DomainError(f"factor index {i} outside 1..{s}")
@@ -89,16 +104,17 @@ class GenTerm:
                 raise DomainError(f"factor shift must be >= 0, got {c}")
             if a < 1:
                 raise DomainError(f"factor exponent must be >= 1, got {a}")
-            seen.add(i)
-        if len(seen) != s:
+            totals[i - 1] += a
+        if 0 in totals:  # exponents are >= 1, so 0 means no factor
             raise DomainError("every variable index needs at least one factor")
-        for j in range(1, s + 1):
-            suffix = sum(a for i, _, a in ft if i >= j)
+        suffix = sum(totals)  # the exponent sum at indices >= j, for j = 1
+        for j, total in enumerate(totals, start=1):
             if not suffix > s - j + 1:
                 raise DivergenceError(
                     f"suffix exponent sum {suffix} at index {j} needs > {s - j + 1}; "
                     "the represented integral diverges"
                 )
+            suffix -= total
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "bounds", bt)
         object.__setattr__(self, "factors", ft)
@@ -122,7 +138,17 @@ class GenTerm:
         return sum(a for _, _, a in self.factors)
 
     def scaled(self, q: Fraction | int) -> "GenTerm":
-        return GenTerm(self.coeff * Fraction(q), self.bounds, self.factors)
+        return self._with_coeff(self.coeff * Fraction(q))
+
+    def _with_coeff(self, coeff: Fraction) -> "GenTerm":
+        """This term with another coefficient.  The checks constrain only the
+        bounds and factors, which this term has passed, so __init__ does not
+        rerun."""
+        t = object.__new__(GenTerm)
+        object.__setattr__(t, "coeff", coeff)
+        object.__setattr__(t, "bounds", self.bounds)
+        object.__setattr__(t, "factors", self.factors)
+        return t
 
     def pure_exponents(self) -> tuple[int, ...] | None:
         """Exponent vector when this is a plain shifted value: one factor per
@@ -138,7 +164,7 @@ class GenTerm:
 
 
 def _check_basis_id(ids: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    key = tuple(Fraction(m) for m in ids)
+    key = tuple(m if type(m) is Fraction else Fraction(m) for m in ids)
     if any(m <= 0 for m in key):
         raise DomainError(f"basis ids must be positive, got {key}")
     return key
@@ -636,7 +662,7 @@ def reduce_to_basis(
             rewrites += 1
             if rewrites > step_budget:
                 raise CapacityError(f"step budget {step_budget} exhausted reducing {c}")
-            unit = t if t.coeff == 1 else GenTerm(1, t.bounds, t.factors)
+            unit = t if t.coeff == 1 else t._with_coeff(Fraction(1))
             kept, resolved = _rewrite(unit)
             children = [[(u.bounds, u.factors), u, None] for u in kept]
             entry[2] = node = (children, resolved)

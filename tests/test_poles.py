@@ -1,6 +1,7 @@
 """Tests for the candidate pole-hyperplane enumeration and the exact
 depth-1 analytic continuation."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -164,6 +165,23 @@ def test_pole_hyperplanes_equal_the_permutation_union():
                 for k in range(1, k_max + 1)
             }
             assert pole_hyperplanes(r, k_max) == expected, (r, k_max)
+
+
+def test_pole_hyperplanes_at_depths_seven_and_eight_are_checked_planes():
+    # one plane per prefix and k; the Catalan(r+1) - 1 prefixes are the
+    # non-increasing sequences below the staircase.  Every plane, also those
+    # built without rerunning __init__, is one the public constructor accepts
+    for r in (7, 8):
+        prefixes = math.comb(2 * r + 2, r + 1) // (r + 2) - 1
+        for k_max in range(1, 4):
+            planes = pole_hyperplanes(r, k_max)
+            assert len(planes) == prefixes * k_max, (r, k_max)
+            for h in planes:
+                assert type(h.coefficients) is tuple
+                assert all(type(m) is int for m in h.coefficients)
+                assert type(h.constant) is int
+                assert h == Hyperplane(h.coefficients, h.constant)
+    assert prefixes == 4861
 
 
 def test_pole_hyperplanes_monotone_in_kmax():

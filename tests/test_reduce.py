@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmzv import (
     CapacityError,
@@ -79,20 +81,61 @@ def test_genterm_pure_exponents_none_for_shifted_or_multi():
 
 
 def test_genterm_validation_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^lower bounds must be positive, got \(Fraction\(0, 1\),\)$"):
         GenTerm(1, (0,), [(1, 0, 2)])  # bound not positive
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^factor index 2 outside 1\.\.1$"):
         GenTerm(1, (1,), [(2, 0, 2)])  # index out of range
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^factor shift must be >= 0, got -1$"):
         GenTerm(1, (1,), [(1, -1, 2)])  # negative shift
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^factor exponent must be >= 1, got 0$"):
         GenTerm(1, (1,), [(1, 0, 0)])  # exponent < 1
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^every variable index needs at least one factor$"):
         GenTerm(1, (1, 1), [(2, 0, 3)])  # index 1 uncovered
-    with pytest.raises(DivergenceError):
+    diverges = "; the represented integral diverges$"
+    with pytest.raises(DivergenceError, match=r"^suffix exponent sum 1 at index 1 needs > 1" + diverges):
         GenTerm(1, (1,), [(1, 0, 1)])  # suffix sum 1 not > 1
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match=r"^suffix exponent sum 1 at index 2 needs > 1" + diverges):
         GenTerm(1, (1, 1), [(1, 0, 3), (2, 0, 1)])  # bad last suffix
+
+
+def first_divergent_index(s, factors):
+    """The least j with sum(exponents at indices >= j) <= s - j + 1, summed
+    afresh for each j as the convergence condition reads; None if none."""
+    for j in range(1, s + 1):
+        if not sum(a for i, _, a in factors if i >= j) > s - j + 1:
+            return j
+    return None
+
+
+@st.composite
+def covered_factor_lists(draw):
+    """(bounds, factors): depth <= 5, one to three factors at every index."""
+    s = draw(st.integers(1, 5))
+    factors = [
+        (i, draw(st.sampled_from([0, 1, F(1, 2), 3])), draw(st.integers(1, 4)))
+        for i in range(1, s + 1)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return (1,) * s, draw(st.permutations(factors))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(covered_factor_lists())
+def test_genterm_suffix_check_matches_its_definition(case):
+    bounds, factors = case
+    s = len(bounds)
+    j = first_divergent_index(s, factors)
+    if j is None:
+        assert GenTerm(1, bounds, factors).depth == s
+        return
+    suffix = sum(a for i, _, a in factors if i >= j)
+    expected = (
+        f"suffix exponent sum {suffix} at index {j} needs > {s - j + 1}; "
+        "the represented integral diverges"
+    )
+    with pytest.raises(DivergenceError) as info:
+        GenTerm(1, bounds, factors)
+    assert str(info.value) == expected
 
 
 # ----------------------------------------------------------- absorb_shifts
@@ -512,6 +555,18 @@ def test_sum_formulas_hold_exactly():
     # log and generator coefficient cancels, with no quadrature
     for r in range(2, 5):
         for k in range(2 * r - 1, 12):
+            total = SymbolicConstant()
+            for c, f in sum_formula_lhs_terms(r, k):
+                if f:
+                    total = total + reduce_to_basis(c).scaled(f)
+            assert total.logs == () and total.basis == (), (r, k)
+            assert total.rational == sum_formula_rhs(r, k), (r, k)
+
+
+def test_sum_formulas_hold_exactly_at_depths_five_and_six():
+    # the same exact identity one and two depths further, through k = 12
+    for r in (5, 6):
+        for k in range(2 * r - 1, 13):
             total = SymbolicConstant()
             for c, f in sum_formula_lhs_terms(r, k):
                 if f:
