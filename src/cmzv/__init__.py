@@ -43,7 +43,6 @@ from .quad import (
     eval_numeric,
     eval_unit_cube_ones,
     integrate_semi_infinite,
-    verify_identity,
 )
 from .reduce import (
     GenTerm,
@@ -58,7 +57,7 @@ from .reduce import (
     reduce_to_basis,
 )
 from .shuffle import FormalWordSum, ZImage, shuffle, shuffle_sum, z_map
-from .verify import CheckResult, run_suite
+from .verify import CheckResult, run_suite, verify_identity
 
 __version__ = "0.1.0"
 

@@ -3,8 +3,8 @@
 Subcommands: eval, reduce, shuffle, sumformula, poles, verify.  Output is a
 human table by default, or machine JSON / CSV via --format.  Every flag can
 be preset through an environment variable with the CMZV_ prefix (CMZV_TOL,
-CMZV_DEPTH_CAP, CMZV_STEP_BUDGET, CMZV_FORMAT, CMZV_JOBS, CMZV_SEED);
-explicit flags win.
+CMZV_DEPTH_CAP, CMZV_STEP_BUDGET, CMZV_FORMAT, CMZV_SEED); explicit flags
+win.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 non-convergence (for verify: every check passed, but some rests on a value
@@ -26,10 +26,10 @@ from .compositions import Composition
 from .errors import CmzvError
 from .etaspace import sum_formula_lhs_terms, sum_formula_rhs
 from .poles import pole_hyperplanes
-from .quad import ShiftedCMZV, eval_numeric, verify_identity
+from .quad import ShiftedCMZV, eval_numeric
 from .reduce import SymbolicConstant, reduce_to_basis
 from .shuffle import FormalWordSum, shuffle
-from .verify import SUITES, reduction_residual, run_suite
+from .verify import SUITES, reduction_residual, run_suite, verify_identity
 
 _ENV_PREFIX = "CMZV_"
 _FORMATS = ("table", "json", "csv")
@@ -42,13 +42,12 @@ class RunConfig:
     step_budget: int = 10_000
     fmt: str = "table"
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         if self.tolerance is not None and not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.depth_cap < 1 or self.step_budget < 1 or self.jobs < 1:
-            raise ValueError("depth cap, step budget, and jobs must all be >= 1")
+        if self.depth_cap < 1 or self.step_budget < 1:
+            raise ValueError("depth cap and step budget must both be >= 1")
         if self.fmt not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
 
@@ -269,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default table)",
     )
     common.add_argument(
-        "--jobs", type=int, default=_env("JOBS", int, 1),
-        help="accepted and has no effect: verify runs its checks in order (must be >= 1)",
-    )
-    common.add_argument(
         "--seed", type=int, default=_env("SEED", int, 0),
         help="seed for randomized spot checks (default 0)",
     )
@@ -331,7 +326,6 @@ def main(argv=None) -> int:
             step_budget=args.step_budget,
             fmt=args.format,
             seed=args.seed,
-            jobs=args.jobs,
         )
         return args.fn(args, cfg)
     except (CmzvError, ValueError) as exc:

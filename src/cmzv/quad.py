@@ -55,7 +55,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -515,60 +515,3 @@ def eval_basis_generator(
     the tail integral with lower bounds ids and exponents (1, ..., 1, 2)."""
     exps = Composition((1,) * (len(ids) - 1) + (2,))
     return eval_numeric(ShiftedCMZV(ids, exps), tol=tol, depth_cap=depth_cap)
-
-
-def term_tolerance(tol: float, coefficients: Iterable[Fraction | int]) -> float:
-    """Per-term tolerance tol / (2 * max(sum |q|, 1)) for a sum of terms with
-    rational coefficients q: if every term is within it, the sum is within
-    tol/2."""
-    mass = sum(abs(q) for q in coefficients)
-    return tol / (2.0 * float(max(mass, 1)))
-
-
-def verify_identity(
-    lhs: Sequence[tuple[ShiftedCMZV | Composition | Sequence[int], Fraction | int]],
-    rhs: Sequence[tuple[ShiftedCMZV | Composition | Sequence[int], Fraction | int]] = (),
-    rhs_constant: Fraction | int = 0,
-    tol: float | None = None,
-    depth_cap: int = 6,
-) -> dict:
-    """Numerically check sum(lhs) == sum(rhs) + rhs_constant.
-
-    Each side is a list of (target, rational coefficient) terms; terms with
-    coefficient 0 are never evaluated.  The tolerance is split across terms
-    by term_tolerance, so the reported difference is comparable against tol
-    directly.
-    """
-    lhs_terms = [(_as_target(t), Fraction(q)) for t, q in lhs]
-    rhs_terms = [(_as_target(t), Fraction(q)) for t, q in rhs]
-    if tol is None:
-        max_depth = max(t.depth for t, _ in lhs_terms + rhs_terms)
-        tol = default_tolerance(max_depth)
-    per_term = term_tolerance(tol, (q for _, q in lhs_terms + rhs_terms))
-
-    def side(terms: list[tuple[ShiftedCMZV, Fraction]]) -> tuple[float, bool, int]:
-        total = 0.0
-        ok = True
-        evals = 0
-        for t, q in terms:
-            if q == 0:
-                continue
-            res = eval_numeric(t, per_term, depth_cap=depth_cap)
-            total += float(q) * res.value
-            ok = ok and res.converged
-            evals += res.evaluations
-        return total, ok, evals
-
-    lhs_value, lhs_ok, lhs_evals = side(lhs_terms)
-    rhs_value, rhs_ok, rhs_evals = side(rhs_terms)
-    rhs_value += float(Fraction(rhs_constant))
-    difference = abs(lhs_value - rhs_value)
-    return {
-        "lhs_value": lhs_value,
-        "rhs_value": rhs_value,
-        "difference": difference,
-        "tolerance": tol,
-        "passed": bool(difference <= tol),
-        "converged": bool(lhs_ok and rhs_ok),
-        "evaluations": lhs_evals + rhs_evals,
-    }

@@ -10,16 +10,20 @@ Each suite produces an ordered list of CheckResult rows.  Suites:
                emitted basis ids sum to the depth; generator counts are 2^(r-1)
 
 Each row also says whether every numeric value it rests on converged.
-Each suite lists only checks whose values fit the depth cap.  Checks run in
-order in the calling thread, so results come in construction order.  The
-corrupt flag deliberately mis-states one expected constant so callers can
-watch the harness fail; it must never pass.
+Each suite runs, in order in the calling thread, only the checks whose
+values fit the depth cap and returns their rows; run_suite concatenates the
+suites in the order above.  The corrupt flag appends a last row that
+deliberately mis-states one expected constant so callers can watch the
+harness fail; it must never pass.  term_tolerance and _Values.weighted are
+the one policy for checking a weighted sum, in the suites and verify_identity.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 from . import quad
 from .compositions import (
@@ -30,7 +34,7 @@ from .compositions import (
     word_from_composition,
 )
 from .errors import DomainError
-from .quad import NumericResult, ShiftedCMZV, default_tolerance, term_tolerance
+from .quad import NumericResult, ShiftedCMZV, _as_target, default_tolerance
 from .reduce import SymbolicConstant, basis_ids, reduce_to_basis
 from .shuffle import shuffle, z_map
 
@@ -56,15 +60,27 @@ class CheckResult:
 
 
 class _Values:
-    """Numeric values for one check, remembering whether all converged."""
+    """Numeric values for one check, remembering whether all converged and
+    how many integrand evaluations they cost."""
 
     def __init__(self, depth_cap: int):
         self.depth_cap = depth_cap
         self.converged = True
+        self.evaluations = 0
 
     def _take(self, res: NumericResult) -> float:
         self.converged = self.converged and res.converged
+        self.evaluations += res.evaluations
         return res.value
+
+    def weighted(self, terms, tol: float | None, start: float = 0.0) -> float:
+        """start + sum of q * value(target) over (target, q) terms, each value
+        at tol; terms with coefficient 0 are never evaluated."""
+        total = start
+        for target, q in terms:
+            if q != 0:
+                total += float(q) * self.semi(target, tol)
+        return total
 
     def semi(self, target, tol: float | None) -> float:
         return self._take(quad.eval_numeric(target, tol=tol, depth_cap=self.depth_cap))
@@ -74,6 +90,52 @@ class _Values:
 
     def generator(self, ids, tol: float | None) -> float:
         return self._take(quad.eval_basis_generator(ids, tol, self.depth_cap))
+
+
+def term_tolerance(tol: float, coefficients: Iterable[Fraction | int]) -> float:
+    """Per-term tolerance tol / (2 * max(sum |q|, 1)) for a sum of terms with
+    rational coefficients q: if every term is within it, the sum is within
+    tol/2."""
+    mass = sum(abs(q) for q in coefficients)
+    return tol / (2.0 * float(max(mass, 1)))
+
+
+def verify_identity(
+    lhs: Sequence[tuple[ShiftedCMZV | Composition | Sequence[int], Fraction | int]],
+    rhs: Sequence[tuple[ShiftedCMZV | Composition | Sequence[int], Fraction | int]] = (),
+    rhs_constant: Fraction | int = 0,
+    tol: float | None = None,
+    depth_cap: int = 6,
+) -> dict:
+    """Numerically check sum(lhs) == sum(rhs) + rhs_constant.
+
+    Each side is a list of (target, rational coefficient) terms; terms with
+    coefficient 0 are never evaluated.  The tolerance is split across terms
+    by term_tolerance, so the reported difference is comparable against tol
+    directly.  Without tol, the default tolerance of the deepest term is
+    used, so an identity with no terms needs an explicit tol.
+    """
+    lhs_terms = [(_as_target(t), Fraction(q)) for t, q in lhs]
+    rhs_terms = [(_as_target(t), Fraction(q)) for t, q in rhs]
+    terms = lhs_terms + rhs_terms
+    if tol is None:
+        if not terms:
+            raise DomainError("an identity with no terms has no default tolerance; give tol")
+        tol = default_tolerance(max(t.depth for t, _ in terms))
+    per_term = term_tolerance(tol, (q for _, q in terms))
+    values = _Values(depth_cap)
+    lhs_value = values.weighted(lhs_terms, per_term)
+    rhs_value = values.weighted(rhs_terms, per_term) + float(Fraction(rhs_constant))
+    difference = abs(lhs_value - rhs_value)
+    return {
+        "lhs_value": lhs_value,
+        "rhs_value": rhs_value,
+        "difference": difference,
+        "tolerance": tol,
+        "passed": bool(difference <= tol),
+        "converged": bool(values.converged),
+        "evaluations": values.evaluations,
+    }
 
 
 def _compare(
@@ -121,14 +183,11 @@ def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = 6) ->
         if len(w1) + len(w2) <= max_weight and w1.count("y") + w2.count("y") <= depth_cap
     ]
 
-    def run(pair):
-        w1, w2 = pair
+    def run(w1, w2):
         values = _Values(depth_cap)
         image = z_map(shuffle(w1, w2))
         per_term = term_tolerance(tol, (q for _, q in image))
-        lhs = float(image.constant)
-        for c, q in image:
-            lhs += float(q) * values.semi(c, per_term)
+        lhs = values.weighted(image, per_term, float(image.constant))
         rhs = values.semi(composition_from_word(w1), tol / 8.0) * values.semi(
             composition_from_word(w2), tol / 8.0
         )
@@ -136,7 +195,7 @@ def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = 6) ->
             "shuffle", f"{w1} shuffled {w2}", "lhs", "rhs", lhs, rhs, tol, values.converged
         )
 
-    return [(f"{w1}|{w2}", run, (w1, w2)) for w1, w2 in pairs]
+    return [run(w1, w2) for w1, w2 in pairs]
 
 
 def suite_embedding(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) -> list:
@@ -155,7 +214,7 @@ def suite_embedding(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) 
             "embedding", f"{c} = {lo} + {hi}", "lhs", "rhs", lhs, rhs, tol, values.converged
         )
 
-    return [(str(c), run, c) for c in comps]
+    return [run(c) for c in comps]
 
 
 def suite_unitcube(max_depth: int = 4, tol: float = 1e-6, depth_cap: int = 6) -> list:
@@ -167,7 +226,7 @@ def suite_unitcube(max_depth: int = 4, tol: float = 1e-6, depth_cap: int = 6) ->
         semi = values.semi(Composition((1,) * (r - 1) + (2,)), tol / 4.0)
         return _compare("unitcube", f"depth {r}", "cube", "semi", cube, semi, tol, values.converged)
 
-    return [(f"r={r}", run, r) for r in range(2, max_depth + 1)]
+    return [run(r) for r in range(2, max_depth + 1)]
 
 
 def suite_bounds(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) -> list:
@@ -185,7 +244,7 @@ def suite_bounds(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) -> 
             "bounds", str(c), ok, f"value={val:.10f} bound={bound:.10f} ok={ok}", values.converged
         )
 
-    return [(str(c), run, c) for c in comps]
+    return [run(c) for c in comps]
 
 
 def suite_reduction(
@@ -215,25 +274,23 @@ def suite_reduction(
             f"count={n} expected={2 ** (r - 1)}",
         )
 
-    def run_shifted(args):
-        m1, m2 = args
+    def run_shifted(m1, m2):
         sc = reduce_to_basis(Composition((1, 2)), (m1, m2))
         target = ShiftedCMZV((m1, m2), Composition((1, 2)))
         sym, num, converged = reduction_residual(sc, target, tol / 4.0, depth_cap)
         name = f"shifted (1,2) bounds ({m1},{m2})"
         return _compare("reduction", name, "symbolic", "numeric", sym, num, tol, converged)
 
-    checks = [(str(c), run_comp, c) for c in comps]
-    checks.extend((f"count r={r}", run_counts, r) for r in range(1, 11))
+    results = [run_comp(c) for c in comps]
+    results.extend(run_counts(r) for r in range(1, 11))
     if depth_cap >= 2:
         rng = random.Random(seed)
         for _ in range(5):
-            m1, m2 = rng.randint(1, 6), rng.randint(1, 6)
-            checks.append((f"shifted {m1},{m2}", run_shifted, (m1, m2)))
-    return checks
+            results.append(run_shifted(rng.randint(1, 6), rng.randint(1, 6)))
+    return results
 
 
-# Each suite's builder (max weight, tol, depth cap, seed) -> checks, default
+# Each suite's runner (max weight, tol, depth cap, seed) -> results, default
 # max weight and default tolerance.
 _SUITE_TABLE = {
     "shuffle": (lambda mw, t, cap, seed: suite_shuffle(mw, t, cap), 5, 1e-5),
@@ -253,32 +310,30 @@ def run_suite(
     seed: int = 0,
     corrupt: bool = False,
 ) -> list[CheckResult]:
-    """Run one suite (or 'all') in order in the calling thread.  jobs is
-    accepted for compatibility and has no effect."""
+    """Run one suite (or 'all') in order in the calling thread and return
+    its rows, with the corrupt self-test row last.  A run whose suites list
+    no check raises DomainError.  jobs is ignored; it stays because
+    perfbench/worker.py passes jobs=1."""
     names = SUITES if name == "all" else (name,)
-    checks = []
+    results = []
     for n in names:
         if n not in _SUITE_TABLE:
             raise DomainError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
-        build, mw, dtol = _SUITE_TABLE[n]
+        run, mw, dtol = _SUITE_TABLE[n]
         mw = max_weight if max_weight is not None else mw
-        t = tol if tol is not None else dtol
-        checks.extend(build(mw, t, depth_cap, seed))
+        results.extend(run(mw, tol if tol is not None else dtol, depth_cap, seed))
+    if not results:
+        # only a single suite can be empty: 'all' always has the generator counts
+        raise DomainError(
+            f"verify {name} selects no checks at max weight {mw} and depth cap {depth_cap}"
+        )
 
     if corrupt:
         # harness self-test: a deliberately wrong constant must be caught
-        def run_corrupt(_):
-            wrong = 0.6941471805599453  # log 2 corrupted in the third digit
-            res = quad.eval_numeric(Composition((1, 2)), tol=1e-9)
-            diff = abs(res.value - wrong)
-            return CheckResult(
-                "self-test",
-                "corrupted constant for (1,2)",
-                diff <= 1e-6,
-                f"value={res.value:.10f} claimed={wrong:.10f} diff={diff:.3e}",
-                res.converged,
-            )
-
-        checks.append(("corrupt", run_corrupt, None))
-
-    return [fn(arg) for _, fn, arg in checks]
+        wrong = 0.6941471805599453  # log 2 corrupted in the third digit
+        res = quad.eval_numeric(Composition((1, 2)), tol=1e-9)
+        diff = abs(res.value - wrong)
+        detail = f"value={res.value:.10f} claimed={wrong:.10f} diff={diff:.3e}"
+        label = "corrupted constant for (1,2)"
+        results.append(CheckResult("self-test", label, diff <= 1e-6, detail, res.converged))
+    return results

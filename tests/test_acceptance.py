@@ -31,8 +31,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _run_all(checks):
-    results = [fn(arg) for _, fn, arg in checks]
+def _run_all(results):
     failed = [r for r in results if not r.passed]
     return results, failed
 

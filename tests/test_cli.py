@@ -15,6 +15,7 @@ import pytest
 from cmzv import NumericResult, quad, reduce
 from cmzv.cli import main, render_symbolic, render_word_sum
 from cmzv.reduce import SymbolicConstant
+from cmzv.verify import run_suite
 from fractions import Fraction
 
 F = Fraction
@@ -336,7 +337,7 @@ def test_verify_unitcube_respects_depth_cap(capsys):
     assert "2/2 checks passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6])
 def test_verify_all_fits_every_depth_cap(capsys, cap):
     # each suite lists only the checks whose values fit the cap
     assert main(["verify", "all", "--depth-cap", str(cap)]) == 0
@@ -348,21 +349,33 @@ def test_verify_embedding_past_default_weight_fits_cap(capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
-def test_verify_jobs_has_no_effect(capsys):
-    outputs = []
-    for jobs in ("1", "2"):
-        quad.clear_caches()
-        reduce.clear_caches()
-        assert main(["verify", "all", "--jobs", jobs, "--format", "csv"]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+def test_verify_jobs_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
-def test_verify_jobs_must_be_positive(capsys, monkeypatch):
-    assert main(["verify", "unitcube", "--jobs", "0"]) == 2
-    assert "jobs must all be >= 1" in capsys.readouterr().err
-    monkeypatch.setenv("CMZV_JOBS", "0")
-    assert main(["verify", "unitcube"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shuffle", "--max-weight", "1"],
+        ["embedding", "--depth-cap", "1"],
+        ["unitcube", "--max-weight", "1"],
+    ],
+)
+def test_verify_selecting_no_checks_is_usage_error(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"verify {argv[0]} selects no checks" in err
+    assert "max weight" in err and "depth cap" in err
+
+
+def test_run_suite_puts_the_failing_self_test_last():
+    results = run_suite("all", corrupt=True)
+    assert [r.suite for r in results[:-1]] == [r.suite for r in run_suite("all")]
+    assert results[-1].suite == "self-test" and not results[-1].passed
+    assert all(r.passed for r in results[:-1])
 
 
 def test_verify_csv_rows(capsys):

@@ -19,9 +19,8 @@ from cmzv.quad import (
     eval_numeric,
     eval_unit_cube_ones,
     integrate_semi_infinite,
-    term_tolerance,
-    verify_identity,
 )
+from cmzv.verify import term_tolerance, verify_identity
 
 LOG2 = math.log(2.0)
 
@@ -255,6 +254,23 @@ def test_verify_identity_skips_zero_coefficients(monkeypatch):
     )
     assert res["passed"]
     assert [t.exponents.parts for t in seen] == [(2,)]
+
+
+def test_verify_identity_counts_evaluations_of_nonzero_terms():
+    lhs = [(Composition((1, 2)), Fraction(1)), (Composition((1, 1, 1, 1, 2)), 0)]
+    rhs = [(Composition((2, 2)), Fraction(2)), (Composition((1, 3)), Fraction(-1))]
+    res = verify_identity(lhs, rhs, tol=1e-6)
+    per_term = term_tolerance(1e-6, [Fraction(1), Fraction(2), Fraction(-1)])
+    nonzero = [(1, 2), (2, 2), (1, 3)]
+    want = sum(eval_numeric(Composition(c), per_term).evaluations for c in nonzero)
+    assert res["evaluations"] == want > 0
+
+
+def test_verify_identity_without_terms_or_tol_is_domain_error():
+    with pytest.raises(DomainError, match="no terms"):
+        verify_identity([])
+    # with an explicit tolerance the empty identity 0 == 0 holds
+    assert verify_identity([], tol=1e-6)["passed"]
 
 
 def test_term_tolerance_splits_by_mass():
