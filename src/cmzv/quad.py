@@ -431,7 +431,11 @@ def eval_numeric(
     k = t.exponents.parts
     if t.depth == 1:
         exact = t.bounds[0] ** (1 - k[0]) / (k[0] - 1)
-        return NumericResult(float(exact), 0.0, 0, True)
+        try:
+            value = float(exact)
+        except OverflowError:
+            raise DomainError("the value exceeds the float range of the numeric route") from None
+        return NumericResult(value, 0.0, 0, True)
     if any(b > sys.float_info.max for b in t.bounds):
         raise DomainError("a lower bound exceeds the float range of the numeric route")
     return _memoized((t.bounds, k), tol, _semi_infinite_form(t), t.depth - 1)

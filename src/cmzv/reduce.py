@@ -1,14 +1,15 @@
 """Exact reduction of iterated tail integrals to a depth-graded basis.
 
-A GenTerm is a rational multiple of an iterated integral over v_i in
-[m_i, oo), i = 1..s, whose integrand is a product of factors
+A GenTerm is a convergent iterated integral over v_i in [m_i, oo),
+i = 1..s, whose integrand is a product of factors
 
     (c + v_1 + ... + v_i)^(-a)        encoded as (index i, shift c, exponent a).
 
 The standard value zeta_C(k_1,...,k_r) is the GenTerm with unit bounds and
-one shift-0 factor (i, 0, k_i) per index.  Repeated integration by parts on
-the leftmost index with exponent >= 2 rewrites any admissible term, exactly
-over Q, into the span of
+one shift-0 factor (i, 0, k_i) per index.  Each rewrite returns
+(coefficient, term) pairs whose sum is its input, plus a constant it resolved.
+Repeated integration by parts on the leftmost index with exponent >= 2
+rewrites any admissible term, exactly over Q, into the span of
 
     1                                      (depth-0 rationals),
     log p  for primes p                    (from the one-variable tails), and
@@ -21,10 +22,10 @@ One step of the rewrite, at position p (sole factor (p, 0, a), a >= 2):
 
     boundary:   variable p is integrated out at its lower bound; every deeper
                 factor's shift grows by m_p, and (for p >= 2) a new factor
-                (p-1, m_p, a-1) appears; coefficient gains m_p^(1-a)/(a-1)
+                (p-1, m_p, a-1) appears; its coefficient is m_p^(1-a)/(a-1)
                 when p = 1, else 1/(a-1).
     derivative: one term per deeper factor j, with exponent a-1 at p,
-                a_j + 1 at j, and coefficient factor -a_j/(a - 1).
+                a_j + 1 at j, and coefficient -a_j/(a - 1).
 
 Boundary terms acquire one index carrying two factors; an exact partial
 fraction expansion splits it again.  At the last index, where exponent-1
@@ -57,7 +58,7 @@ Factor = tuple[int, Fraction, int]  # (index, shift, exponent)
 
 @dataclass(frozen=True)
 class GenTerm:
-    """coeff times a convergent iterated tail integral (see module docstring).
+    """A convergent iterated tail integral (see module docstring).
 
     Invariants enforced here: bounds positive; shifts >= 0; exponents >= 1;
     every variable index carries at least one factor; and the suffix
@@ -65,23 +66,19 @@ class GenTerm:
     so the represented integral converges.  Every construction runs these
     checks, also of the new terms a rewrite builds from valid ones; only the
     conversion to Fraction and int is skipped for values already of that
-    type, and the suffix sums come from one pass over per-index totals.  A
-    copy with another coefficient (scaled, and the unit copy a reduction
-    rewrites) keeps the checked bounds and factors and is not checked again.
+    type, and the suffix sums come from one pass over per-index totals.
+    Equal bounds and factors make equal terms with equal hashes, so a term
+    is its own key in the reduction's term memo.
     """
 
-    coeff: Fraction
     bounds: tuple[Fraction, ...]
     factors: tuple[Factor, ...]
 
     def __init__(
         self,
-        coeff: Fraction | int,
         bounds: Sequence[Fraction | int],
         factors: Sequence[tuple[int, Fraction | int, int]],
     ):
-        if type(coeff) is not Fraction:
-            coeff = Fraction(coeff)
         bt = tuple(b if type(b) is Fraction else Fraction(b) for b in bounds)
         ft = tuple(
             sorted(
@@ -115,7 +112,6 @@ class GenTerm:
                     "the represented integral diverges"
                 )
             suffix -= total
-        object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "bounds", bt)
         object.__setattr__(self, "factors", ft)
 
@@ -127,7 +123,7 @@ class GenTerm:
             bounds = (Fraction(1),) * c.depth
         if len(bounds) != c.depth:
             raise DomainError(f"{len(bounds)} bounds for depth-{c.depth} exponents")
-        return cls(Fraction(1), bounds, [(i + 1, Fraction(0), k) for i, k in enumerate(c.parts)])
+        return cls(bounds, [(i + 1, Fraction(0), k) for i, k in enumerate(c.parts)])
 
     @property
     def depth(self) -> int:
@@ -136,19 +132,6 @@ class GenTerm:
     @property
     def weight(self) -> int:
         return sum(a for _, _, a in self.factors)
-
-    def scaled(self, q: Fraction | int) -> "GenTerm":
-        return self._with_coeff(self.coeff * Fraction(q))
-
-    def _with_coeff(self, coeff: Fraction) -> "GenTerm":
-        """This term with another coefficient.  The checks constrain only the
-        bounds and factors, which this term has passed, so __init__ does not
-        rerun."""
-        t = object.__new__(GenTerm)
-        object.__setattr__(t, "coeff", coeff)
-        object.__setattr__(t, "bounds", self.bounds)
-        object.__setattr__(t, "factors", self.factors)
-        return t
 
     def pure_exponents(self) -> tuple[int, ...] | None:
         """Exponent vector when this is a plain shifted value: one factor per
@@ -210,14 +193,20 @@ class SymbolicConstant:
 
     def evaluate(self, basis_values=None) -> float:
         """Float value; basis_values maps an id tuple to a float and is only
-        needed when opaque basis terms are present."""
-        total = float(self.rational)
-        for p, q in self.logs:
-            total += float(q) * math.log(p)
-        for ids, q in self.basis:
-            if basis_values is None:
-                raise DomainError(f"no evaluator supplied for basis id {ids}")
-            total += float(q) * basis_values(ids)
+        needed when opaque basis terms are present.  A value, or a
+        coefficient, beyond the float range raises DomainError."""
+        try:
+            total = float(self.rational)
+            for p, q in self.logs:
+                total += float(q) * math.log(p)
+            for ids, q in self.basis:
+                if basis_values is None:
+                    raise DomainError(f"no evaluator supplied for basis id {ids}")
+                total += float(q) * basis_values(ids)
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise DomainError("the value exceeds the float range of the numeric route")
         return total
 
     def to_json(self) -> dict:
@@ -350,16 +339,17 @@ def absorb_shifts(t: GenTerm) -> GenTerm:
     if any(b <= 0 for b in new_bounds):
         return t
     new_factors = [(i, c - d[i], a) for i, c, a in t.factors]
-    return GenTerm(t.coeff, new_bounds, new_factors)
+    return GenTerm(new_bounds, new_factors)
 
 
-def _ibp_at(t: GenTerm, p: int) -> tuple[GenTerm, ...]:
+def _ibp_at(t: GenTerm, p: int) -> tuple[tuple[Fraction, GenTerm], ...]:
     """One integration-by-parts step on variable p (see module docstring).
 
     Requires index p to carry exactly one factor, with shift 0 and exponent
     >= 2.  Factors at indices < p do not involve v_p and ride along; every
-    factor at an index > p contributes one derivative term.  Returns the
-    boundary term (shift-absorbed) followed by the derivative terms.
+    factor at an index > p contributes one derivative term.  Returns
+    (coefficient, term) pairs whose sum is t: the boundary term
+    (shift-absorbed) followed by the derivative terms.
     """
     s = t.depth
     if not 1 <= p <= s:
@@ -381,13 +371,13 @@ def _ibp_at(t: GenTerm, p: int) -> tuple[GenTerm, ...]:
             boundary_factors.append((i, c, a))
         elif i > p:
             boundary_factors.append((i - 1, c + m_p, a))
-    boundary_coeff = t.coeff * scale
+    boundary_coeff = scale
     if p == 1:
         boundary_coeff *= m_p ** (1 - a_p)
     else:
         boundary_factors.append((p - 1, m_p, a_p - 1))
     boundary_bounds = t.bounds[: p - 1] + t.bounds[p:]
-    boundary = absorb_shifts(GenTerm(boundary_coeff, boundary_bounds, boundary_factors))
+    boundary = absorb_shifts(GenTerm(boundary_bounds, boundary_factors))
 
     derivatives = []
     base = [(i, c, a) for i, c, a in t.factors if i != p]
@@ -397,18 +387,19 @@ def _ibp_at(t: GenTerm, p: int) -> tuple[GenTerm, ...]:
         new_factors = list(base)
         new_factors[j] = (i, c, a + 1)
         new_factors.append((p, Fraction(0), a_p - 1))
-        derivatives.append(GenTerm(t.coeff * scale * (-a), t.bounds, new_factors))
-    return (boundary, *derivatives)
+        derivatives.append((scale * -a, GenTerm(t.bounds, new_factors)))
+    return ((boundary_coeff, boundary), *derivatives)
 
 
-def ibp_step(t: GenTerm) -> tuple[GenTerm, ...]:
+def ibp_step(t: GenTerm) -> tuple[tuple[Fraction, GenTerm], ...]:
     """Integration by parts on the first variable.
 
     Precondition: the first variable carries a single shift-0 factor with
-    exponent a_1 >= 2.  Returns the boundary term (bound m_1 merged into its
-    successor after shift absorption, coefficient m_1^(1-a_1)/(a_1-1)) plus
-    one derivative term per remaining factor (exponent a_1 - 1 at index 1,
-    a_j + 1 at factor j, coefficient scaled by -a_j/(a_1-1)).
+    exponent a_1 >= 2.  Returns (coefficient, term) pairs whose sum is t:
+    the boundary term (bound m_1 merged into its successor after shift
+    absorption, coefficient m_1^(1-a_1)/(a_1-1)) plus one derivative term
+    per remaining factor (exponent a_1 - 1 at index 1, a_j + 1 at factor j,
+    coefficient -a_j/(a_1-1)).
     """
     return _ibp_at(t, 1)
 
@@ -520,11 +511,11 @@ def depth2_closed_form(m1: Fraction | int, m2: Fraction | int) -> SymbolicConsta
     return SymbolicConstant(0, [(p, Fraction(mult, 1) / m2) for p, mult in _factored_log((m1 + m2) / m1)])
 
 
-# The term memo: the value of each finished unit-coefficient term, keyed
-# (bounds, factors), for every reduction in the process.  A call that
-# succeeds merges its terms in; a merge past _MAX_TERMS empties it first.
+# The term memo: the value of each finished term, keyed by the term, for
+# every reduction in the process.  A call that succeeds merges its terms in;
+# a merge past _MAX_TERMS empties it first.
 _MAX_TERMS = 1 << 14
-_TERMS: dict[tuple, SymbolicConstant] = {}
+_TERMS: dict[GenTerm, SymbolicConstant] = {}
 _reduce_lock = threading.Lock()
 
 
@@ -535,14 +526,15 @@ def clear_caches() -> None:
         _TERMS.clear()
 
 
-def _split_multi_factor(t: GenTerm) -> tuple[list[GenTerm], SymbolicConstant]:
+def _split_multi_factor(t: GenTerm) -> tuple[list[tuple[Fraction, GenTerm]], SymbolicConstant]:
     """Resolve the unique index of t carrying two or more factors.
 
     Inner indices split by plain partial fractions (every piece converges on
     its own).  If the multi-factor index is the last one, exponent-1 pieces
     are pairwise combined into one-variable-longer all-ones-then-2 terms as
     described in the module docstring.  Depth-1 terms integrate out exactly.
-    Returns (terms to keep rewriting, immediately resolved constant part).
+    Returns ((coefficient, term) pairs to keep rewriting, immediately
+    resolved constant part), whose sum is t.
     """
     s = t.depth
     multi = [i for i in range(1, s + 1) if sum(1 for f in t.factors if f[0] == i) > 1]
@@ -554,13 +546,13 @@ def _split_multi_factor(t: GenTerm) -> tuple[list[GenTerm], SymbolicConstant]:
     pieces = partial_fractions(group)
 
     if s == 1:
-        return [], integrate_tail(pieces, t.bounds[0]).scaled(t.coeff)
+        return [], integrate_tail(pieces, t.bounds[0])
 
     # Exponent >= 2 pieces, and every piece at an inner index, stand alone;
     # at the last index exponent-1 pieces would diverge individually and
     # telescope into paired differences instead.
     out = [
-        absorb_shifts(GenTerm(t.coeff * beta, t.bounds, rest + [(q_idx, c, e)]))
+        (beta, absorb_shifts(GenTerm(t.bounds, rest + [(q_idx, c, e)])))
         for c, e, beta in pieces
         if q_idx < s or e >= 2
     ]
@@ -576,20 +568,15 @@ def _split_multi_factor(t: GenTerm) -> tuple[list[GenTerm], SymbolicConstant]:
             if running == 0:
                 continue
             # 1/((w+c_lo)(w+c_hi)) = int_{c_hi-c_lo}^oo (w + c_lo + v)^(-2) dv
-            out.append(
-                absorb_shifts(
-                    GenTerm(
-                        t.coeff * running * (c_hi - c_lo),
-                        t.bounds + (c_hi - c_lo,),
-                        rest + [(q_idx, c_lo, 1), (q_idx + 1, c_lo, 2)],
-                    )
-                )
-            )
+            gap = c_hi - c_lo
+            paired = GenTerm(t.bounds + (gap,), rest + [(q_idx, c_lo, 1), (q_idx + 1, c_lo, 2)])
+            out.append((running * gap, absorb_shifts(paired)))
     return out, SymbolicConstant()
 
 
-def _rewrite(t: GenTerm) -> tuple[Sequence[GenTerm], SymbolicConstant]:
-    """One rewrite of t: (terms still to reduce, constant resolved now).
+def _rewrite(t: GenTerm) -> tuple[Sequence[tuple[Fraction, GenTerm]], SymbolicConstant]:
+    """One rewrite of t: ((coefficient, term) pairs still to reduce, constant
+    resolved now), whose sum is t.
 
     Terms that are already rationals, depth-1 powers or basis generators
     resolve completely; otherwise a multi-factor index is split, or the
@@ -597,7 +584,7 @@ def _rewrite(t: GenTerm) -> tuple[Sequence[GenTerm], SymbolicConstant]:
     """
     s = t.depth
     if s == 0:
-        return (), SymbolicConstant(t.coeff)
+        return (), SymbolicConstant(1)
     exps = t.pure_exponents()
     if exps is None:
         return _split_multi_factor(t)
@@ -605,9 +592,9 @@ def _rewrite(t: GenTerm) -> tuple[Sequence[GenTerm], SymbolicConstant]:
         k = exps[0]
         if k < 2:
             raise RewriteError(f"divergent depth-1 term with exponent {k}")
-        return (), SymbolicConstant(t.coeff * t.bounds[0] ** (1 - k) / (k - 1))
+        return (), SymbolicConstant(t.bounds[0] ** (1 - k) / (k - 1))
     if s >= 3 and exps == (1,) * (s - 1) + (2,):
-        return (), SymbolicConstant(0, (), [(t.bounds, t.coeff)])
+        return (), SymbolicConstant(0, (), [(t.bounds, 1)])
     p = next(i for i, k in enumerate(exps, start=1) if k >= 2)
     return _ibp_at(t, p), SymbolicConstant()
 
@@ -623,10 +610,10 @@ def reduce_to_basis(
 
     Rewrites by integration by parts at the leftmost exponent >= 2 until
     every term is rational, a prime log, or an all-ones-then-2 generator of
-    depth >= 3.  Like terms are merged: each distinct (bounds, factors) term
-    is rewritten once, with unit coefficient, and its value, kept in the term
-    memo (see clear_caches), is reused by every term of this or a later call
-    that produces it, scaled by that term's coefficient.  The step budget
+    depth >= 3.  Like terms are merged: each distinct term is rewritten once,
+    and its value, kept in the term memo (see clear_caches), is reused by
+    every rewrite of this or a later call that produces it, scaled by the
+    coefficient that rewrite gives it.  The step budget
     bounds the distinct terms this call rewrites; a memo hit costs none.
     """
     if not isinstance(c, Composition):
@@ -638,48 +625,44 @@ def reduce_to_basis(
     initial = GenTerm.from_composition(c, bounds)
 
     # Post-order over the DAG of distinct terms.  A stack entry is
-    # [key, term, rewrite]; on the first visit the term is rewritten and the
+    # [term, rewrite]; on the first visit the term is rewritten and the
     # terms it produced are pushed above it, so by the second visit every
     # one of them has a value.  A term produced twice is rewritten once: its
     # second entry finds the value in `values` or in the memo (one dict read
     # is atomic, so no lock), and memo hits are copied into `values`, where
     # no concurrent clear can reach them.  A rewrite that reproduced an
     # unfinished term would rewrite it again, so the budget stops any cycle.
-    values: dict[tuple, SymbolicConstant] = {}
-    fresh: list[tuple[tuple, SymbolicConstant]] = []
+    values: dict[GenTerm, SymbolicConstant] = {}
+    fresh: list[tuple[GenTerm, SymbolicConstant]] = []
     rewrites = 0
-    root = (initial.bounds, initial.factors)
-    stack = [[root, initial, None]]
+    stack = [[initial, None]]
     while stack:
         entry = stack[-1]
-        tkey, t, node = entry
+        t, node = entry
         if node is None:
-            hit = values.get(tkey) or _TERMS.get(tkey)
+            hit = values.get(t) or _TERMS.get(t)
             if hit is not None:
-                values[tkey] = hit
+                values[t] = hit
                 stack.pop()
                 continue
             rewrites += 1
             if rewrites > step_budget:
                 raise CapacityError(f"step budget {step_budget} exhausted reducing {c}")
-            unit = t if t.coeff == 1 else t._with_coeff(Fraction(1))
-            kept, resolved = _rewrite(unit)
-            children = [[(u.bounds, u.factors), u, None] for u in kept]
-            entry[2] = node = (children, resolved)
-            if children:
-                stack.extend(children)
+            kept, resolved = entry[1] = _rewrite(t)
+            if kept:
+                stack.extend([u, None] for _, u in kept)
                 continue
         stack.pop()
-        children, resolved = node
-        if children:
-            scaled = [(u.coeff, values[ukey]) for ukey, u, _ in children]
+        kept, resolved = entry[1]
+        if kept:
+            scaled = [(q, values[u]) for q, u in kept]
             resolved = SymbolicConstant(
                 resolved.rational + sum(q * sc.rational for q, sc in scaled),
                 [*resolved.logs, *((p, q * x) for q, sc in scaled for p, x in sc.logs)],
                 [*resolved.basis, *((ids, q * x) for q, sc in scaled for ids, x in sc.basis)],
             )
-        values[tkey] = resolved
-        fresh.append((tkey, resolved))
+        values[t] = resolved
+        fresh.append((t, resolved))
 
     # only the terms rewritten here are merged: hashing a key of Fractions
     # costs more than the rest of a memo hit
@@ -688,4 +671,4 @@ def reduce_to_basis(
             _TERMS.clear()
         if len(fresh) <= _MAX_TERMS:
             _TERMS.update(fresh)
-    return values[root]
+    return values[initial]

@@ -91,6 +91,21 @@ def test_eval_value_beyond_float_range_is_usage_error(capsys):
     assert "float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "5", "--bounds", "1e-100"],
+        ["eval", "2", "--bounds", "1e-400"],
+        ["reduce", "2", "--bounds", "1e-400"],
+    ],
+)
+def test_depth1_value_beyond_float_range_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: the value exceeds the float range of the numeric route" in err
+    assert "Traceback" not in err
+
+
 def test_eval_nonconverged_exit_code(monkeypatch, capsys):
     fake = NumericResult(0.5, 1e-2, 7, False)
     monkeypatch.setattr("cmzv.cli.eval_numeric", lambda *a, **k: fake)

@@ -1,12 +1,14 @@
 """Fuzzed command lines: every one ends in exit code 0, 1, 2 or 3.
 
-hypothesis drives cli.main in-process with four kinds of input: shuffle on
+hypothesis drives cli.main in-process with five kinds of input: shuffle on
 two short words over {x, y, z}, poles over a range of depths and k_max that
-includes invalid ones, each subcommand with one malformed argument, and eval
-of a valid composition of depth 3 to 6 and weight at most 8.  The first three
-may only end in 0 (an answer, or --help) or 2 (a usage error): none verifies
-or integrates anything.  eval may end in 0 or 3 (an answer that did not
-converge within the numeric work cap).  Any other code, an escaping
+includes invalid ones, each subcommand with one malformed argument, eval
+of a valid composition of depth 3 to 6 and weight at most 8, and eval and
+reduce of a depth-1 value with one bound between 1e-400 and 1e400.  The
+first three may only end in 0 (an answer, or --help) or 2 (a usage error):
+none verifies or integrates anything.  eval may end in 0 or 3 (an answer
+that did not converge within the numeric work cap), and a depth-1 value
+also in 2 (beyond the float range).  Any other code, an escaping
 exception, or a traceback on stderr fails the test.
 """
 
@@ -112,3 +114,14 @@ _DEEP = [
 @given(st.sampled_from(_DEEP), st.sampled_from(["table", "json", "csv"]))
 def test_fuzz_deep_eval(composition, fmt):
     assert _run(["eval", composition, "--format", fmt]) in {0, 3}
+
+
+@_SETTINGS
+@given(
+    st.sampled_from(["eval", "reduce"]),
+    st.integers(2, 8),
+    st.sampled_from(["-", ""]),
+    st.integers(1, 400),
+)
+def test_fuzz_extreme_depth1_bound(command, k, sign, e):
+    assert _run([command, str(k), f"--bounds=1e{sign}{e}"]) in {0, 2, 3}

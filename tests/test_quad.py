@@ -40,6 +40,12 @@ def test_depth1_shifted_exact():
     assert res.value == pytest.approx(1.0 / 81.0, abs=1e-15)
 
 
+def test_depth1_value_beyond_float_range_is_domain_error():
+    # int_{1e-400}^oo x^-2 dx = 1e400
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        eval_numeric(ShiftedCMZV((Fraction("1e-400"),), Composition((2,))))
+
+
 def test_log2_value():
     res = eval_numeric(Composition((1, 2)), tol=1e-10)
     assert abs(res.value - LOG2) < 1e-10

@@ -58,7 +58,6 @@ def basis_num(ids):
 
 def test_genterm_from_composition():
     t = GenTerm.from_composition(Composition((2, 3)))
-    assert t.coeff == 1
     assert t.bounds == (F(1), F(1))
     assert t.factors == ((1, F(0), 2), (2, F(0), 3))
     assert t.depth == 2
@@ -69,33 +68,41 @@ def test_genterm_from_composition():
 def test_genterm_custom_bounds_and_scaling():
     t = GenTerm.from_composition(Composition((1, 2)), bounds=(F(1, 2), 3))
     assert t.bounds == (F(1, 2), F(3))
-    assert t.scaled(-2).coeff == -2
-    assert t.scaled(F(1, 3)).factors == t.factors
+
+
+def test_genterm_is_its_own_key():
+    # factors are sorted on construction, so the order they come in does
+    # not matter: equal terms hash alike and share one dict key
+    a = GenTerm((1, 1), [(1, 0, 1), (2, F(1, 2), 2), (2, 0, 1)])
+    b = GenTerm((F(1), 1), [(2, 0, 1), (1, F(0), 1), (2, F(1, 2), 2)])
+    assert a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1
+    assert a != GenTerm((1, 2), [(1, 0, 1), (2, F(1, 2), 2), (2, 0, 1)])
 
 
 def test_genterm_pure_exponents_none_for_shifted_or_multi():
-    shifted = GenTerm(1, (1,), [(1, 1, 2)])
+    shifted = GenTerm((1,), [(1, 1, 2)])
     assert shifted.pure_exponents() is None
-    multi = GenTerm(1, (1,), [(1, 0, 1), (1, 1, 2)])
+    multi = GenTerm((1,), [(1, 0, 1), (1, 1, 2)])
     assert multi.pure_exponents() is None
 
 
 def test_genterm_validation_errors():
     with pytest.raises(DomainError, match=r"^lower bounds must be positive, got \(Fraction\(0, 1\),\)$"):
-        GenTerm(1, (0,), [(1, 0, 2)])  # bound not positive
+        GenTerm((0,), [(1, 0, 2)])  # bound not positive
     with pytest.raises(DomainError, match=r"^factor index 2 outside 1\.\.1$"):
-        GenTerm(1, (1,), [(2, 0, 2)])  # index out of range
+        GenTerm((1,), [(2, 0, 2)])  # index out of range
     with pytest.raises(DomainError, match=r"^factor shift must be >= 0, got -1$"):
-        GenTerm(1, (1,), [(1, -1, 2)])  # negative shift
+        GenTerm((1,), [(1, -1, 2)])  # negative shift
     with pytest.raises(DomainError, match=r"^factor exponent must be >= 1, got 0$"):
-        GenTerm(1, (1,), [(1, 0, 0)])  # exponent < 1
+        GenTerm((1,), [(1, 0, 0)])  # exponent < 1
     with pytest.raises(DomainError, match=r"^every variable index needs at least one factor$"):
-        GenTerm(1, (1, 1), [(2, 0, 3)])  # index 1 uncovered
+        GenTerm((1, 1), [(2, 0, 3)])  # index 1 uncovered
     diverges = "; the represented integral diverges$"
     with pytest.raises(DivergenceError, match=r"^suffix exponent sum 1 at index 1 needs > 1" + diverges):
-        GenTerm(1, (1,), [(1, 0, 1)])  # suffix sum 1 not > 1
+        GenTerm((1,), [(1, 0, 1)])  # suffix sum 1 not > 1
     with pytest.raises(DivergenceError, match=r"^suffix exponent sum 1 at index 2 needs > 1" + diverges):
-        GenTerm(1, (1, 1), [(1, 0, 3), (2, 0, 1)])  # bad last suffix
+        GenTerm((1, 1), [(1, 0, 3), (2, 0, 1)])  # bad last suffix
 
 
 def first_divergent_index(s, factors):
@@ -126,7 +133,7 @@ def test_genterm_suffix_check_matches_its_definition(case):
     s = len(bounds)
     j = first_divergent_index(s, factors)
     if j is None:
-        assert GenTerm(1, bounds, factors).depth == s
+        assert GenTerm(bounds, factors).depth == s
         return
     suffix = sum(a for i, _, a in factors if i >= j)
     expected = (
@@ -134,7 +141,7 @@ def test_genterm_suffix_check_matches_its_definition(case):
         "the represented integral diverges"
     )
     with pytest.raises(DivergenceError) as info:
-        GenTerm(1, bounds, factors)
+        GenTerm(bounds, factors)
     assert str(info.value) == expected
 
 
@@ -147,35 +154,35 @@ def test_absorb_shifts_identity_when_clean():
 
 
 def test_absorb_shifts_single_variable():
-    t = GenTerm(1, (1,), [(1, 1, 2)])
+    t = GenTerm((1,), [(1, 1, 2)])
     out = absorb_shifts(t)
     assert out.bounds == (F(2),)
     assert out.factors == ((1, F(0), 2),)
 
 
 def test_absorb_shifts_chained_indices():
-    t = GenTerm(1, (1, 1), [(1, 1, 2), (2, 3, 2)])
+    t = GenTerm((1, 1), [(1, 1, 2), (2, 3, 2)])
     out = absorb_shifts(t)
     assert out.bounds == (F(2), F(3))
     assert out.factors == ((1, F(0), 2), (2, F(0), 2))
 
 
 def test_absorb_shifts_partial_minimum():
-    t = GenTerm(1, (1,), [(1, 1, 1), (1, 2, 2)])
+    t = GenTerm((1,), [(1, 1, 1), (1, 2, 2)])
     out = absorb_shifts(t)
     assert out.bounds == (F(2),)
     assert out.factors == ((1, F(0), 1), (1, F(1), 2))
 
 
 def test_absorb_shifts_skipped_when_bound_would_vanish():
-    t = GenTerm(1, (1, 1), [(1, 2, 1), (2, 1, 3)])
+    t = GenTerm((1, 1), [(1, 2, 1), (2, 1, 3)])
     assert absorb_shifts(t) is t  # second bound would become 0
 
 
 def test_absorb_shifts_preserves_numeric_value():
     # zeta_{1,1}(exp with shifts) before/after absorption, via quadrature of
     # the absorbed (plain shifted) form against a tiny manual reduction.
-    t = GenTerm(1, (1, 1), [(1, 1, 2), (2, 2, 2)])
+    t = GenTerm((1, 1), [(1, 1, 2), (2, 2, 2)])
     out = absorb_shifts(t)
     assert out.bounds == (F(2), F(2))
     num = eval_numeric(ShiftedCMZV(out.bounds, Composition((2, 2))), tol=1e-10).value
@@ -189,20 +196,20 @@ def test_absorb_shifts_preserves_numeric_value():
 
 
 def test_ibp_step_depth1_terminates_to_scalar():
-    (only,) = ibp_step(GenTerm.from_composition(Composition((3,))))
+    ((q, only),) = ibp_step(GenTerm.from_composition(Composition((3,))))
     assert only.depth == 0
-    assert only.coeff == F(1, 2)
+    assert q == F(1, 2)
 
 
 def test_ibp_step_two_two_structure():
-    boundary, deriv = ibp_step(GenTerm.from_composition(Composition((2, 2))))
+    (qb, boundary), (qd, deriv) = ibp_step(GenTerm.from_composition(Composition((2, 2))))
     # boundary: the bound 1 is absorbed into the follower, giving the
     # shifted depth-1 value with bound 2
-    assert boundary.coeff == 1
+    assert qb == 1
     assert boundary.bounds == (F(2),)
     assert boundary.factors == ((1, F(0), 2),)
     # derivative: -2 times the (1,3) integral
-    assert deriv.coeff == -2
+    assert qd == -2
     assert deriv.bounds == (F(1), F(1))
     assert deriv.factors == ((1, F(0), 1), (2, F(0), 3))
 
@@ -217,9 +224,9 @@ def test_ibp_step_preconditions():
     with pytest.raises(RewriteError):
         ibp_step(GenTerm.from_composition(Composition((1, 2))))  # exponent 1
     with pytest.raises(RewriteError):
-        ibp_step(GenTerm(1, (1, 1), [(1, 1, 2), (2, 0, 2)]))  # nonzero shift
+        ibp_step(GenTerm((1, 1), [(1, 1, 2), (2, 0, 2)]))  # nonzero shift
     with pytest.raises(RewriteError):
-        ibp_step(GenTerm(1, (1,), [(1, 0, 2), (1, 1, 2)]))  # two factors
+        ibp_step(GenTerm((1,), [(1, 0, 2), (1, 1, 2)]))  # two factors
 
 
 # --------------------------------------------------------- partial fractions
@@ -337,6 +344,14 @@ def test_symbolic_constant_evaluate():
         with_b.evaluate()
 
 
+def test_symbolic_constant_beyond_float_range_is_domain_error():
+    # a rational, a coefficient, and a product, 1e308 * log 7, past the range
+    rational, coeff, product = 10**400, {2: F(10**400)}, {7: F(10**308)}
+    for sc in (SymbolicConstant(rational), SymbolicConstant(0, coeff), SymbolicConstant(0, product)):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            sc.evaluate()
+
+
 def test_symbolic_constant_json_shape():
     sc = SymbolicConstant(F(-1, 4), {2: F(1, 2)}, {(1, 1, 1): F(1)})
     assert sc.to_json() == {
@@ -418,33 +433,33 @@ def plain_stack_reduce(c, bounds=None):
     every produced term kept separately, with no merging of like terms."""
     rational = F(0)
     logs, basis = {}, {}
-    stack = [GenTerm.from_composition(Composition(c), bounds)]
+    stack = [(F(1), GenTerm.from_composition(Composition(c), bounds))]
     while stack:
-        t = stack.pop()
-        if t.coeff == 0:
+        coeff, t = stack.pop()
+        if coeff == 0:
             continue
         s = t.depth
         if s == 0:
-            rational += t.coeff
+            rational += coeff
             continue
         exps = t.pure_exponents()
         if exps is None:
             kept, resolved = _split_multi_factor(t)
-            rational += resolved.rational
+            rational += coeff * resolved.rational
             for p, q in resolved.logs:
-                logs[p] = logs.get(p, F(0)) + q
+                logs[p] = logs.get(p, F(0)) + coeff * q
             for ids, q in resolved.basis:
-                basis[ids] = basis.get(ids, F(0)) + q
-            stack.extend(kept)
+                basis[ids] = basis.get(ids, F(0)) + coeff * q
+            stack.extend((coeff * q, u) for q, u in kept)
             continue
         if s == 1:
-            rational += t.coeff * t.bounds[0] ** (1 - exps[0]) / (exps[0] - 1)
+            rational += coeff * t.bounds[0] ** (1 - exps[0]) / (exps[0] - 1)
             continue
         if s >= 3 and exps == (1,) * (s - 1) + (2,):
-            basis[t.bounds] = basis.get(t.bounds, F(0)) + t.coeff
+            basis[t.bounds] = basis.get(t.bounds, F(0)) + coeff
             continue
         p = next(i for i, k in enumerate(exps, start=1) if k >= 2)
-        stack.extend(_ibp_at(t, p))
+        stack.extend((coeff * q, u) for q, u in _ibp_at(t, p))
     return SymbolicConstant(rational, logs, basis)
 
 
@@ -544,8 +559,7 @@ def test_term_memo_hits_cost_no_budget():
     warm = reduce_to_basis(c, bounds=bounds)
     assert reduce_to_basis(c, bounds=bounds, step_budget=2) == warm
     # without the root, only the root is rewritten: its subterms are hits
-    root = GenTerm.from_composition(c, bounds)
-    del reduce_module._TERMS[root.bounds, root.factors]
+    del reduce_module._TERMS[GenTerm.from_composition(c, bounds)]
     assert reduce_to_basis(c, bounds=bounds, step_budget=1) == warm
     clear_caches()
 
