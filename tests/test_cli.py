@@ -106,6 +106,21 @@ def test_depth1_value_beyond_float_range_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "1,2", "--bounds", "1e-450,1e250"],
+        # the reduction's residual runs the numeric route
+        ["reduce", "2,2", "--bounds", "1e301,1e301"],
+    ],
+)
+def test_numeric_bound_outside_range_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: a lower bound lies outside [1e-300, 1e300], the range of the numeric route" in err
+    assert "Traceback" not in err
+
+
 def test_eval_nonconverged_exit_code(monkeypatch, capsys):
     fake = NumericResult(0.5, 1e-2, 7, False)
     monkeypatch.setattr("cmzv.cli.eval_numeric", lambda *a, **k: fake)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmzv import quad
 from cmzv.compositions import Composition, admissible_compositions, convergence_bound
@@ -44,6 +46,22 @@ def test_depth1_value_beyond_float_range_is_domain_error():
     # int_{1e-400}^oo x^-2 dx = 1e400
     with pytest.raises(DomainError, match="exceeds the float range"):
         eval_numeric(ShiftedCMZV((Fraction("1e-400"),), Composition((2,))))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(Fraction("1e-450"), Fraction("1e250")), (1, Fraction("1e301")), (Fraction("1e-301"), 1, 1)],
+)
+def test_bound_outside_numeric_range_is_domain_error(bounds):
+    # the true zeta_{1e-450,1e250}(1,2) is log1p(1e700)/1e250 = 1.612e-247
+    parts = (1,) * (len(bounds) - 1) + (2,)
+    with pytest.raises(DomainError, match=r"outside \[1e-300, 1e300\]"):
+        eval_numeric(ShiftedCMZV(bounds, parts))
+
+
+def test_depth1_outside_numeric_range_stays_exact():
+    res = eval_numeric(ShiftedCMZV((Fraction("1e310"),), (2,)))
+    assert res.value == float(Fraction("1e-310")) and res.converged
 
 
 def test_log2_value():
@@ -142,6 +160,171 @@ def test_cache_returns_consistent_results():
     # looser request is served from the tighter cached result
     c = eval_numeric(Composition((1, 1, 2)), tol=1e-6)
     assert c.value == a.value
+
+
+def _count_sweeps(monkeypatch) -> list:
+    calls = []
+    sweep = quad._sweep
+
+    def counted(*args):
+        calls.append(args[2])
+        return sweep(*args)
+
+    monkeypatch.setattr(quad, "_sweep", counted)
+    return calls
+
+
+def test_memo_serves_every_tol_at_or_above_the_achieved_estimate(monkeypatch):
+    quad.clear_caches()
+    first = eval_numeric(Composition((1, 1, 3)), tol=1e-6)
+    assert first.converged and first.error_estimate < 1e-6
+    sweeps = _count_sweeps(monkeypatch)
+    estimate = first.error_estimate
+    for tol in (estimate, (estimate + 1e-6) / 2, 1e-6, 1e-2):
+        assert eval_numeric(Composition((1, 1, 3)), tol=tol) is first
+    assert sweeps == []
+    tighter = eval_numeric(Composition((1, 1, 3)), tol=estimate / 2)
+    assert sweeps and tighter is not first
+    assert tighter.converged and tighter.error_estimate <= estimate / 2
+    # the tighter result now serves the looser request too
+    assert eval_numeric(Composition((1, 1, 3)), tol=1e-6) is tighter
+
+
+def test_memo_unconverged_result_serves_only_its_own_tol_and_above(monkeypatch):
+    quad.clear_caches()
+    # below the rounding allowance of 1e-13 |value|, no step can converge
+    stuck = eval_numeric(Composition((1, 2)), tol=1e-20)
+    assert not stuck.converged and stuck.error_estimate > 1e-20
+    sweeps = _count_sweeps(monkeypatch)
+    assert eval_numeric(Composition((1, 2)), tol=1e-20) is stuck
+    assert eval_numeric(Composition((1, 2)), tol=1e-19) is stuck
+    assert sweeps == []
+    again = eval_numeric(Composition((1, 2)), tol=1e-21)
+    assert sweeps and again is not stuck and not again.converged
+
+
+def _log1pexp(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+_LOGS = st.floats(math.log(1e-300), math.log(1e300))
+# a level and node positions in [0, 1] along its table; both ends, s = -7
+# (E underflows) and s = 7 (E overflows), are always added
+_NODE_SETS = st.tuples(st.integers(1, 11), st.lists(st.floats(0, 1), min_size=1, max_size=8))
+
+
+def _node_index(level: int, positions: list) -> np.ndarray:
+    n = 2 * round(quad._S_CAP * 2**level) + 1
+    return np.array([min(n - 1, int(p * n)) for p in positions] + [0, n - 1])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(1, 6),
+    st.integers(2, 6),
+    st.floats(1e-300, 1e300),
+    st.lists(st.tuples(_LOGS, _LOGS), min_size=1, max_size=4),
+    _NODE_SETS,
+)
+def test_semi_infinite_last_level_matches_log_space_levels(k1, k2, m, rows, nodes):
+    form = quad._semi_infinite_form(ShiftedCMZV((1, Fraction(m)), (k1, k2)))
+    lm = math.log(Fraction(m).numerator) - math.log(Fraction(m).denominator)
+    lc = np.array([r[0] for r in rows])[:, None]
+    lw = np.array([r[1] for r in rows])[:, None]
+    table = quad._exp_sinh_nodes(nodes[0])
+    node = tuple(col[_node_index(*nodes)] for col in table)
+    ps, lj, pc = node[0], node[1], node[4]
+    # the log-space last level and leaf that the closed form replaced
+    lrho = 0.5 * _log1pexp(lm - lc)
+    lt = lrho + ps
+    lw_next = (lw + (1 - k1) * lc) + (lt + lj) - k1 * _log1pexp(lt)
+    lc_next = (lc + 2.0 * lrho) + _log1pexp(ps - lrho)
+    with np.errstate(over="ignore"):
+        ref = np.exp(lw_next + (1 - k2) * lc_next) / (k2 - 1)
+        scale = np.exp((lw + (1 - k1) * lc) + (1 - k2) * (lc + 2.0 * lrho)) / (k2 - 1)
+    try:
+        got = form.last((lc, lw), node)
+    except DomainError:
+        # a row scale beyond the float range: its last integral is too
+        assert not np.isfinite(scale).all()
+        return
+    assert not np.isnan(got).any()
+    normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
+    # Both sides round logarithms of size up to L, so they may differ by
+    # L ulps; a factor in [0, 1] that leaves the float range is off by at
+    # most rho 2^-1074 + 2^-1022, and a product underflow by 2^-1074.
+    logs = np.abs(lw) + (k1 + k2) * (np.abs(lc) + 2.0 * np.abs(lrho) + np.abs(ps) + 1.0)
+    rtol = 1e-13 + 2.0 * np.finfo(float).eps * logs
+    tiny = 2.0**-1074
+    atol = (k1 + k2) * pc * (scale * (np.exp(lrho) * tiny + 2.0**-1022) + tiny)
+    assert (np.abs(got - ref) <= rtol * ref + atol)[normal].all()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(st.tuples(st.floats(1, 6), st.floats(-690, 0), st.floats(-700, 30)), min_size=1, max_size=4),
+    _NODE_SETS,
+)
+def test_unit_cube_last_level_matches_expand_and_leaf(rows, nodes):
+    # states (A, B, W/B) of the cube: 1 <= A, B <= min(A, 1), W/B up to (pi cosh 7)^4
+    a = np.array([r[0] for r in rows])[:, None]
+    b = np.minimum(np.exp(np.array([r[1] for r in rows]))[:, None], a)
+    r = np.exp(np.array([r[2] for r in rows]))[:, None]
+    level, positions = nodes
+    i = _node_index(level, positions)
+    s = (i - round(quad._S_CAP * 2**level)) * 0.5**level
+    # the nodes, the last expand and the leaf that the closed form replaced
+    ps = np.pi * np.sinh(s)
+    e = np.exp(-np.abs(ps))
+    near_end, far_end = e / (1.0 + e), 1.0 / (1.0 + e)
+    y = np.where(ps >= 0.0, far_end, near_end)
+    jac = np.pi * np.cosh(s) * near_end * far_end
+    a_next, b_next, w_next = a + b * y, b * y, (r * b) * jac
+    x = b_next / a_next
+    ref = w_next * np.divide(np.log1p(x), x, out=np.ones_like(x), where=x > 0.0) / a_next
+    node = tuple(col[i] for col in quad._tanh_sinh_nodes(level))
+    got = quad._unit_cube_form().last((a, b, r), node)
+    assert not np.isnan(got).any()
+    normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
+    # an intermediate product that underflows is off by at most 2^-1074
+    atol = 4.0 * (r + 1.0) * (node[1] + 1.0) * 2.0**-1074
+    assert (np.abs(got - ref) <= 1e-13 * ref + atol)[normal].all()
+
+
+def _end_reference(m: np.ndarray, h: float, share: float, room: int):
+    """The array form of quad._end, m ordered towards the end."""
+    k = min(len(m) - 1, max(1, round(0.5 / h)))
+    last, back = float(m[-1]), float(m[-1 - k])
+    if last == 0.0:
+        tail = 0.0
+    elif back > last:
+        rho = (last / back) ** (1.0 / k)
+        tail = last * rho / (1.0 - rho)
+    else:
+        tail = None
+    if tail is None or tail > share:
+        return tail, min(room, round(quad._S_STEP / h))
+    rising = np.flatnonzero(m[:-1] <= m[1:])
+    run = len(m) - 1 - (rising[-1] + 1 if rising.size else 0)
+    acc = tail + np.cumsum(m[::-1])
+    n = min(int(np.searchsorted(acc, share / 16.0, side="right")), run - k)
+    return (float(acc[n - 1]) if n > 0 else tail), -max(n, 0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(st.floats(0.0, 1e3), min_size=2, max_size=60),
+    st.integers(0, 60),
+    st.integers(1, 11),
+    st.floats(1e-12, 1e3),
+    st.integers(0, 40),
+)
+def test_end_walk_matches_array_form(values, falling, level, share, room):
+    # a falling run of the given length towards the end, as at a converging end
+    head, tail = values[: len(values) - falling], values[len(values) - falling :]
+    m = np.array(head + sorted(tail, reverse=True))
+    h = 0.5**level
+    assert quad._end(m[::-1].tolist(), h, share, room) == _end_reference(m, h, share, room)
 
 
 def test_clear_caches_empties_both_memos():
