@@ -8,6 +8,7 @@ enumeration, with every exact identity cross-checked numerically.
 
 from .compositions import (
     Composition,
+    ShiftedCMZV,
     admissible_compositions,
     composition_from_word,
     compositions_of,
@@ -38,7 +39,6 @@ from .etaspace import (
 from .poles import Hyperplane, depth1_value, perm_min_sequence, pole_hyperplanes
 from .quad import (
     NumericResult,
-    ShiftedCMZV,
     default_tolerance,
     eval_numeric,
     eval_unit_cube_ones,

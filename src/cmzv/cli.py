@@ -16,17 +16,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .compositions import Composition
+from .compositions import Composition, ShiftedCMZV
 from .errors import CmzvError
 from .etaspace import sum_formula_lhs_terms, sum_formula_rhs
 from .poles import pole_hyperplanes
-from .quad import ShiftedCMZV, eval_numeric
+from .quad import eval_numeric
 from .reduce import SymbolicConstant, reduce_to_basis
 from .shuffle import FormalWordSum, shuffle
 from .verify import SUITES, reduction_residual, run_suite, verify_identity
@@ -46,6 +47,8 @@ class RunConfig:
     def __post_init__(self):
         if self.tolerance is not None and not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if self.tolerance == math.inf:
+            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.depth_cap < 1 or self.step_budget < 1:
             raise ValueError("depth cap and step budget must both be >= 1")
         if self.fmt not in _FORMATS:
@@ -75,6 +78,12 @@ def _parse_bounds(text: str) -> tuple[Fraction, ...]:
         return tuple(Fraction(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bounds must be comma-separated rationals, got {text!r}")
+
+
+def _parse_target(args) -> Composition | ShiftedCMZV:
+    """The one target of eval and reduce: the composition, with its --bounds."""
+    comp = _parse_composition(args.composition)
+    return ShiftedCMZV(_parse_bounds(args.bounds), comp) if args.bounds else comp
 
 
 def _emit(fmt: str, payload, header: list[str], rows, table_lines) -> None:
@@ -132,9 +141,7 @@ def render_word_sum(a: FormalWordSum) -> str:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    comp = _parse_composition(args.composition)
-    target = ShiftedCMZV(_parse_bounds(args.bounds), comp) if args.bounds else comp
-    res = eval_numeric(target, tol=cfg.tolerance, depth_cap=cfg.depth_cap)
+    res = eval_numeric(_parse_target(args), tol=cfg.tolerance, depth_cap=cfg.depth_cap)
     rows = [
         ("value", f"{res.value:.15g}"),
         ("error_estimate", f"{res.error_estimate:.3e}"),
@@ -146,10 +153,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_reduce(args, cfg: RunConfig) -> int:
-    comp = _parse_composition(args.composition)
-    bounds = _parse_bounds(args.bounds) if args.bounds else None
-    sc = reduce_to_basis(comp, bounds, step_budget=cfg.step_budget, depth_cap=cfg.depth_cap)
-    target = ShiftedCMZV(bounds, comp) if bounds else comp
+    target = _parse_target(args)
+    sc = reduce_to_basis(target, step_budget=cfg.step_budget, depth_cap=cfg.depth_cap)
     symbolic, num, converged = reduction_residual(sc, target, cfg.tolerance, cfg.depth_cap)
     residual = abs(symbolic - num)
     rows = [

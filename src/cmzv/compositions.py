@@ -10,15 +10,22 @@ exponent tuples the region of absolute convergence is cut out by strict
 conditions on every suffix sum.  Compositions are also encoded as words over
 the alphabet {x, y}: each part k contributes the block "y" + "x"*(k-1), so
 admissible compositions correspond to words that start with y and end with x.
+
+A ShiftedCMZV is the target of every route, numeric or exact: exponents with
+one positive rational lower bound per variable (the integral above has all
+bounds 1).  as_target turns a composition or a plain tuple of parts into the
+unit-bound target, and admissible_target adds the checks every route runs
+before it starts: the integral converges and its depth fits the cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import DomainError, WordEncodingError
+from .errors import CapacityError, DivergenceError, DomainError, WordEncodingError
 
 
 @dataclass(frozen=True, order=True)
@@ -60,6 +67,69 @@ class Composition:
 def is_admissible(c: Composition) -> bool:
     """True when the defining integral converges, i.e. the last part is >= 2."""
     return c.parts[-1] >= 2
+
+
+@dataclass(frozen=True)
+class ShiftedCMZV:
+    """An iterated tail integral with per-variable lower bounds.
+
+    bounds are positive rationals, one per part of the exponents, a
+    Composition.  parts, weight and depth read as the exponents' do.
+    Bounds that are already Fractions are kept as they are.
+    """
+
+    bounds: tuple[Fraction, ...]
+    exponents: Composition
+
+    def __init__(self, bounds: Sequence[Fraction | int], exponents: Composition | Sequence[int]):
+        exponents = exponents if isinstance(exponents, Composition) else Composition(exponents)
+        bt = tuple(b if type(b) is Fraction else Fraction(b) for b in bounds)
+        if len(bt) != exponents.depth:
+            raise DomainError(f"{len(bt)} bounds for depth-{exponents.depth} exponents")
+        if any(b.numerator <= 0 for b in bt):  # a Fraction's denominator is positive
+            raise DomainError(f"lower bounds must be positive, got {bt}")
+        object.__setattr__(self, "bounds", bt)
+        object.__setattr__(self, "exponents", exponents)
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return self.exponents.parts
+
+    @property
+    def weight(self) -> int:
+        return self.exponents.weight
+
+    @property
+    def depth(self) -> int:
+        return self.exponents.depth
+
+    def __str__(self) -> str:
+        bounds = ",".join(str(b) for b in self.bounds)
+        return f"zeta_{{{bounds}}}{self.exponents}"
+
+    def to_json(self) -> dict:
+        return {
+            "bounds": [str(b) for b in self.bounds],
+            "exponents": self.exponents.to_json(),
+        }
+
+
+def as_target(target: ShiftedCMZV | Composition | Sequence[int]) -> ShiftedCMZV:
+    """target itself, or the unit-bound target of a composition or parts."""
+    if isinstance(target, ShiftedCMZV):
+        return target
+    return ShiftedCMZV((Fraction(1),) * len(target), target)
+
+
+def admissible_target(target: ShiftedCMZV | Composition | Sequence[int], depth_cap: int) -> ShiftedCMZV:
+    """as_target(target), checked for every route: DivergenceError if the
+    integral diverges, CapacityError if its depth exceeds depth_cap."""
+    t = as_target(target)
+    if not is_admissible(t.exponents):
+        raise DivergenceError(f"{t.exponents} is non-admissible (last part < 2); the integral diverges")
+    if t.depth > depth_cap:
+        raise CapacityError(f"depth {t.depth} exceeds the configured cap {depth_cap}")
+    return t
 
 
 def _checked_reals(s: Sequence[float]) -> tuple[float, ...]:

@@ -8,7 +8,9 @@ domains and singular only at the ends, so the rule converges
 double-exponentially in the step h.  Three integral forms feed it, each as a
 `_Form`:
 
-  * the semi-infinite form.  The depth-r integral over prod_i [m_i, oo) of
+  * the semi-infinite form of a target, compositions.ShiftedCMZV (eval_numeric
+    takes it checked by compositions.admissible_target).  The depth-r
+    integral over prod_i [m_i, oo) of
     1 / (x_1^{k_1} (x_1+x_2)^{k_2} ... (x_1+...+x_r)^{k_r}) integrates the
     innermost variable analytically,
         int_{m_r}^oo (T + x_r)^{-k_r} dx_r = (T + m_r)^(1-k_r) / (k_r - 1),
@@ -53,7 +55,8 @@ estimate it has.  Results that miss their tolerance are flagged, never
 silently truncated; a sum that is not finite raises DomainError.  The two
 zeta forms share one memo: a stored result serves every tolerance at or
 above its error estimate if it converged, else every tolerance at or above
-the one it was computed at.
+the one it was computed at, and a served result is converged when its
+estimate meets the request.  A tolerance is a finite positive number.
 """
 
 from __future__ import annotations
@@ -61,14 +64,14 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .compositions import Composition, is_admissible
-from .errors import CapacityError, DivergenceError, DomainError
+from .compositions import Composition, ShiftedCMZV, admissible_target
+from .errors import CapacityError, DomainError
 
 @dataclass(frozen=True)
 class NumericResult:
@@ -85,51 +88,6 @@ class NumericResult:
             "error_estimate": self.error_estimate,
             "evaluations": self.evaluations,
             "converged": self.converged,
-        }
-
-
-@dataclass(frozen=True)
-class ShiftedCMZV:
-    """An iterated tail integral with per-variable lower bounds.
-
-    bounds are positive rationals (all 1 for the standard value); exponents
-    form a Composition of the same length.
-    """
-
-    bounds: tuple[Fraction, ...]
-    exponents: Composition
-
-    def __init__(self, bounds: Sequence[Fraction | int], exponents: Composition | Sequence[int]):
-        if not isinstance(exponents, Composition):
-            exponents = Composition(exponents)
-        bt = tuple(Fraction(b) for b in bounds)
-        if len(bt) != exponents.depth:
-            raise DomainError(
-                f"{len(bt)} bounds for depth-{exponents.depth} exponents"
-            )
-        if any(b <= 0 for b in bt):
-            raise DomainError(f"lower bounds must be positive, got {bt}")
-        object.__setattr__(self, "bounds", bt)
-        object.__setattr__(self, "exponents", exponents)
-
-    @classmethod
-    def standard(cls, c: Composition | Sequence[int]) -> "ShiftedCMZV":
-        if not isinstance(c, Composition):
-            c = Composition(c)
-        return cls((Fraction(1),) * c.depth, c)
-
-    @property
-    def depth(self) -> int:
-        return self.exponents.depth
-
-    def __str__(self) -> str:
-        bounds = ",".join(str(b) for b in self.bounds)
-        return f"zeta_{{{bounds}}}{self.exponents}"
-
-    def to_json(self) -> dict:
-        return {
-            "bounds": [str(b) for b in self.bounds],
-            "exponents": self.exponents.to_json(),
         }
 
 
@@ -303,6 +261,18 @@ def default_tolerance(depth: int) -> float:
     return 1e-8 if depth <= 3 else 1e-5
 
 
+def _tolerance(tol: float | None, depth: int) -> float:
+    """tol, or the default at depth if it is None; a tolerance must be a
+    finite positive number (DomainError otherwise)."""
+    if tol is None:
+        return default_tolerance(depth)
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if tol == math.inf:
+        raise DomainError(f"tolerance must be finite, got {tol}")
+    return tol
+
+
 # One memo for both routes, keyed (bounds, parts) or ("cube", r).  Each
 # entry holds its result and the least tolerance that result serves: its
 # error estimate if it converged, else the tolerance it was computed at.
@@ -322,12 +292,17 @@ def _memoized(key: tuple, tol: float, form: _Form, dims: int) -> NumericResult:
 
     A result that converged serves every tol at or above its error
     estimate, which is at most the tolerance it was computed at; one that
-    did not converge serves only tolerances at or above its own.
+    did not converge serves only tolerances at or above its own.  A hit is
+    converged exactly when its estimate meets tol, so the answer does not
+    depend on which request came first.
     """
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None and hit[0] <= tol:
-        return hit[1]
+        result = hit[1]
+        if not result.converged and result.error_estimate <= tol:
+            result = replace(result, converged=True)
+        return result
     result = NumericResult(*_tensor(form, dims, tol))
     serves = result.error_estimate if result.converged else tol
     with _cache_lock:
@@ -335,12 +310,6 @@ def _memoized(key: tuple, tol: float, form: _Form, dims: int) -> NumericResult:
         if prev is None or serves < prev[0]:
             _cache[key] = (serves, result)
     return result
-
-
-def _as_target(target: ShiftedCMZV | Composition | Sequence[int]) -> ShiftedCMZV:
-    if isinstance(target, ShiftedCMZV):
-        return target
-    return ShiftedCMZV.standard(target)
 
 
 def _node_table(nodes: Callable[[np.ndarray], tuple]) -> Callable[[int], tuple]:
@@ -499,22 +468,18 @@ def eval_numeric(
 ) -> NumericResult:
     """Numeric value of an admissible iterated tail integral.
 
-    Depth 1 is returned exactly (m^(1-k)/(k-1)); deeper targets run the
+    target is a ShiftedCMZV, or a composition or tuple of parts for unit
+    bounds; compositions.admissible_target checks it, as reduce_to_basis
+    does (DivergenceError, CapacityError).  Depth 1 is returned exactly (m^(1-k)/(k-1)); deeper targets run the
     tensor rule on the semi-infinite form described in the module
     docstring, and need every lower bound in [1e-300, 1e300] (DomainError
     otherwise).  Results are memoized per (bounds, exponents): a stored
     result serves every tol at or above its error estimate if it converged,
-    else at or above the tol it was computed at.
+    else at or above the tol it was computed at, and is converged when its
+    estimate meets tol.
     """
-    t = _as_target(target)
-    if not is_admissible(t.exponents):
-        raise DivergenceError(f"{t.exponents} is non-admissible (last part < 2); the integral diverges")
-    if t.depth > depth_cap:
-        raise CapacityError(f"depth {t.depth} exceeds the configured cap {depth_cap}")
-    if tol is None:
-        tol = default_tolerance(t.depth)
-    if not (tol > 0.0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    t = admissible_target(target, depth_cap)
+    tol = _tolerance(tol, t.depth)
 
     k = t.exponents.parts
     if t.depth == 1:
@@ -544,10 +509,7 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) ->
         raise DomainError(f"need integer depth r >= 2, got {r!r}")
     if r > depth_cap:
         raise CapacityError(f"depth {r} exceeds the configured cap {depth_cap}")
-    if tol is None:
-        tol = default_tolerance(r)
-    if not (tol > 0.0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    tol = _tolerance(tol, r)
     if r == 2:  # no tensor level: the closed form int_0^1 dy / (1 + y)
         value = math.log1p(1.0)
         return NumericResult(value, _ROUND * value, 1, True)
@@ -568,9 +530,7 @@ def integrate_semi_infinite(
     that decays so slowly that the node range grows past s ~ 6.1, where E
     overflows, raises DomainError rather than counting those nodes as 0.
     """
-    if not (tol > 0.0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    return NumericResult(*_adaptive_unit(f, float(lower), tol))
+    return NumericResult(*_adaptive_unit(f, float(lower), _tolerance(tol, 1)))
 
 
 def _adaptive_unit(f: Callable[[np.ndarray], np.ndarray], lower: float, tol: float) -> tuple:
@@ -602,5 +562,5 @@ def eval_basis_generator(
 ) -> NumericResult:
     """Numeric value of the basis generator B(ids) = zeta_{ids}(1, ..., 1, 2),
     the tail integral with lower bounds ids and exponents (1, ..., 1, 2)."""
-    exps = Composition((1,) * (len(ids) - 1) + (2,))
+    exps = (1,) * (len(ids) - 1) + (2,)
     return eval_numeric(ShiftedCMZV(ids, exps), tol=tol, depth_cap=depth_cap)

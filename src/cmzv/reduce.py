@@ -5,9 +5,10 @@ i = 1..s, whose integrand is a product of factors
 
     (c + v_1 + ... + v_i)^(-a)        encoded as (index i, shift c, exponent a).
 
-The standard value zeta_C(k_1,...,k_r) is the GenTerm with unit bounds and
-one shift-0 factor (i, 0, k_i) per index.  Each rewrite returns
-(coefficient, term) pairs whose sum is its input, plus a constant it resolved.
+The target zeta_{m_1,...,m_r}(k_1,...,k_r) (compositions.ShiftedCMZV) is the
+GenTerm with bounds m_i and one shift-0 factor (i, 0, k_i) per index,
+GenTerm.of(target).  Each rewrite returns (coefficient, term) pairs whose
+sum is its input, plus a constant it resolved.
 Repeated integration by parts on the leftmost index with exponent >= 2
 rewrites any admissible term, exactly over Q, into the span of
 
@@ -49,11 +50,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .compositions import Composition, compositions_of, is_admissible
+from .compositions import (
+    Composition,
+    ShiftedCMZV,
+    admissible_target,
+    as_target,
+    compositions_of,
+    is_admissible,
+)
 from .errors import CapacityError, DivergenceError, DomainError, RewriteError
 from .linear import normal_form
 
 Factor = tuple[int, Fraction, int]  # (index, shift, exponent)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,9 @@ class GenTerm:
     conversion to Fraction and int is skipped for values already of that
     type, and the suffix sums come from one pass over per-index totals.
     Equal bounds and factors make equal terms with equal hashes, so a term
-    is its own key in the reduction's term memo.
+    is its own key in the reduction's term memo.  GenTerm.of builds the
+    term of a target; the target's own checks (bound count, admissibility,
+    depth cap) live with ShiftedCMZV in compositions.
     """
 
     bounds: tuple[Fraction, ...]
@@ -116,14 +127,11 @@ class GenTerm:
         object.__setattr__(self, "factors", ft)
 
     @classmethod
-    def from_composition(
-        cls, c: Composition, bounds: Sequence[Fraction | int] | None = None
-    ) -> "GenTerm":
-        if bounds is None:
-            bounds = (Fraction(1),) * c.depth
-        if len(bounds) != c.depth:
-            raise DomainError(f"{len(bounds)} bounds for depth-{c.depth} exponents")
-        return cls(bounds, [(i + 1, Fraction(0), k) for i, k in enumerate(c.parts)])
+    def of(cls, target: ShiftedCMZV | Composition | Sequence[int]) -> "GenTerm":
+        """The term of a target (compositions.as_target): its bounds, and one
+        shift-0 factor (i, 0, k_i) per index."""
+        t = as_target(target)
+        return cls(t.bounds, [(i, _ZERO, k) for i, k in enumerate(t.parts, start=1)])
 
     @property
     def depth(self) -> int:
@@ -600,29 +608,26 @@ def _rewrite(t: GenTerm) -> tuple[Sequence[tuple[Fraction, GenTerm]], SymbolicCo
 
 
 def reduce_to_basis(
-    c: Composition,
-    bounds: Sequence[Fraction | int] | None = None,
+    target: ShiftedCMZV | Composition | Sequence[int],
     *,
     step_budget: int = 10_000,
     depth_cap: int = 6,
 ) -> SymbolicConstant:
     """Exact value of an admissible iterated tail integral in the graded basis.
 
-    Rewrites by integration by parts at the leftmost exponent >= 2 until
-    every term is rational, a prime log, or an all-ones-then-2 generator of
-    depth >= 3.  Like terms are merged: each distinct term is rewritten once,
-    and its value, kept in the term memo (see clear_caches), is reused by
-    every rewrite of this or a later call that produces it, scaled by the
-    coefficient that rewrite gives it.  The step budget
-    bounds the distinct terms this call rewrites; a memo hit costs none.
+    target is a ShiftedCMZV, or a composition or tuple of parts for unit
+    bounds; compositions.admissible_target checks it, as eval_numeric does
+    (DivergenceError, CapacityError).  Rewrites by integration by parts at
+    the leftmost exponent >= 2 until every term is rational, a prime log,
+    or an all-ones-then-2 generator of depth >= 3.  Like terms are merged:
+    each distinct term is rewritten once, and its value, kept in the term
+    memo (see clear_caches), is reused by every rewrite of this or a later
+    call that produces it, scaled by the coefficient that rewrite gives it.
+    The step budget bounds the distinct terms this call rewrites; a memo
+    hit costs none.
     """
-    if not isinstance(c, Composition):
-        c = Composition(c)
-    if not is_admissible(c):
-        raise DivergenceError(f"{c} is not admissible; nothing to reduce")
-    if c.depth > depth_cap:
-        raise CapacityError(f"depth {c.depth} exceeds the configured cap {depth_cap}")
-    initial = GenTerm.from_composition(c, bounds)
+    target = admissible_target(target, depth_cap)
+    initial = GenTerm.of(target)
 
     # Post-order over the DAG of distinct terms.  A stack entry is
     # [term, rewrite]; on the first visit the term is rewritten and the
@@ -647,7 +652,7 @@ def reduce_to_basis(
                 continue
             rewrites += 1
             if rewrites > step_budget:
-                raise CapacityError(f"step budget {step_budget} exhausted reducing {c}")
+                raise CapacityError(f"step budget {step_budget} exhausted reducing {target.exponents}")
             kept, resolved = entry[1] = _rewrite(t)
             if kept:
                 stack.extend([u, None] for _, u in kept)

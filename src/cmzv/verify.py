@@ -28,13 +28,15 @@ from typing import Iterable, Sequence
 from . import quad
 from .compositions import (
     Composition,
+    ShiftedCMZV,
     admissible_compositions,
+    as_target,
     composition_from_word,
     convergence_bound,
     word_from_composition,
 )
 from .errors import DomainError
-from .quad import NumericResult, ShiftedCMZV, _as_target, default_tolerance
+from .quad import NumericResult, default_tolerance
 from .reduce import SymbolicConstant, basis_ids, reduce_to_basis
 from .shuffle import shuffle, z_map
 
@@ -115,8 +117,8 @@ def verify_identity(
     directly.  Without tol, the default tolerance of the deepest term is
     used, so an identity with no terms needs an explicit tol.
     """
-    lhs_terms = [(_as_target(t), Fraction(q)) for t, q in lhs]
-    rhs_terms = [(_as_target(t), Fraction(q)) for t, q in rhs]
+    lhs_terms = [(as_target(t), Fraction(q)) for t, q in lhs]
+    rhs_terms = [(as_target(t), Fraction(q)) for t, q in rhs]
     terms = lhs_terms + rhs_terms
     if tol is None:
         if not terms:
@@ -275,8 +277,8 @@ def suite_reduction(
         )
 
     def run_shifted(m1, m2):
-        sc = reduce_to_basis(Composition((1, 2)), (m1, m2))
         target = ShiftedCMZV((m1, m2), Composition((1, 2)))
+        sc = reduce_to_basis(target, depth_cap=depth_cap)
         sym, num, converged = reduction_residual(sc, target, tol / 4.0, depth_cap)
         name = f"shifted (1,2) bounds ({m1},{m2})"
         return _compare("reduction", name, "symbolic", "numeric", sym, num, tol, converged)

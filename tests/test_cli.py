@@ -12,7 +12,18 @@ import time
 
 import pytest
 
-from cmzv import NumericResult, quad, reduce
+from cmzv import (
+    CapacityError,
+    Composition,
+    DivergenceError,
+    DomainError,
+    NumericResult,
+    ShiftedCMZV,
+    eval_numeric,
+    quad,
+    reduce,
+    reduce_to_basis,
+)
 from cmzv.cli import main, render_symbolic, render_word_sum
 from cmzv.reduce import SymbolicConstant
 from cmzv.verify import run_suite
@@ -178,6 +189,31 @@ def test_reduce_bound_count_must_match_depth(capsys, bounds):
     assert f"{n} bounds for depth-2 exponents" in capsys.readouterr().err
     assert main(["eval", "2,2", "--bounds", bounds]) == 2
     assert f"{n} bounds for depth-2 exponents" in capsys.readouterr().err
+
+
+# (command line arguments, the same target built in code, its error)
+_BAD_TARGETS = [
+    (["2,1"], lambda: Composition((2, 1)), DivergenceError),
+    (["2,2", "--bounds", "1,1,1"], lambda: ShiftedCMZV((1, 1, 1), (2, 2)), DomainError),
+    (["2,2", "--bounds", "0,1"], lambda: ShiftedCMZV((0, 1), (2, 2)), DomainError),
+    (["1,1,1,1,1,1,2"], lambda: Composition((1,) * 6 + (2,)), CapacityError),
+]
+
+
+@pytest.mark.parametrize("argv, build, error", _BAD_TARGETS)
+def test_bad_target_fails_alike_on_every_route(capsys, argv, build, error):
+    messages = set()
+    for route in (eval_numeric, reduce_to_basis):
+        with pytest.raises(error) as info:
+            route(build())
+        assert type(info.value) is error
+        messages.add(str(info.value))
+    for command in ("eval", "reduce"):
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        messages.add(err[len("error: ") : -1])
+    assert len(messages) == 1, messages
 
 
 def test_reduce_large_prime_bound_finishes():
@@ -482,6 +518,15 @@ def test_bad_env_value_is_usage_error(monkeypatch, capsys):
 def test_bad_tolerance_flag(capsys):
     assert main(["eval", "2", "--tol", "-1"]) == 2
     assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "all"], ["reduce", "1,2"], ["eval", "1,2"]])
+def test_infinite_tolerance_is_usage_error(monkeypatch, capsys, argv):
+    assert main([*argv, "--tol", "inf"]) == 2
+    assert capsys.readouterr().err == "error: tolerance must be finite, got inf\n"
+    monkeypatch.setenv("CMZV_TOL", "inf")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: tolerance must be finite, got inf\n"
 
 
 def test_csv_output_parses(capsys):

@@ -1,12 +1,16 @@
 """Composition arithmetic, word codecs, and convergence-domain predicates."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from cmzv.compositions import (
     Composition,
+    ShiftedCMZV,
     admissible_compositions,
+    admissible_target,
+    as_target,
     composition_from_word,
     compositions_of,
     convergence_bound,
@@ -16,6 +20,7 @@ from cmzv.compositions import (
     word_from_composition,
 )
 from cmzv.errors import DomainError, WordEncodingError
+from cmzv.reduce import GenTerm
 
 
 def test_composition_basics():
@@ -137,3 +142,22 @@ def test_admissible_compositions_counts():
         comps = list(admissible_compositions(w))
         assert len(comps) == 2 ** (w - 2)
         assert all(is_admissible(c) and c.weight == w for c in comps)
+
+
+# ------------------------------------------------------------ the target
+
+
+def test_shifted_target_reads_like_its_composition():
+    c = Composition((3, 1, 2))
+    t = ShiftedCMZV((2, Fraction(1, 2), 1), c)
+    assert (t.parts, t.weight, t.depth) == (c.parts, c.weight, c.depth)
+    assert t.bounds == (Fraction(2), Fraction(1, 2), Fraction(1))
+    assert as_target(t) is t
+    assert as_target(c) == as_target((3, 1, 2)) == ShiftedCMZV((1, 1, 1), c)
+    assert admissible_target(c, 3) == as_target(c)
+
+
+def test_unit_bounds_give_the_composition_term():
+    for w in range(2, 8):
+        for c in admissible_compositions(w):
+            assert GenTerm.of(c) == GenTerm.of(ShiftedCMZV((1,) * c.depth, c)), c

@@ -203,6 +203,34 @@ def test_memo_unconverged_result_serves_only_its_own_tol_and_above(monkeypatch):
     assert sweeps and again is not stuck and not again.converged
 
 
+def test_memo_hit_is_converged_when_its_estimate_meets_the_request(monkeypatch):
+    quad.clear_caches()
+    stuck = eval_numeric(Composition((1, 2)), tol=1e-20)
+    assert not stuck.converged and stuck.error_estimate <= 1e-10
+    sweeps = _count_sweeps(monkeypatch)
+    served = eval_numeric(Composition((1, 2)), tol=1e-10)
+    assert sweeps == []
+    assert served.converged
+    assert (served.value, served.error_estimate, served.evaluations) == (
+        stuck.value, stuck.error_estimate, stuck.evaluations
+    )
+    # a cold call at the looser tolerance converges too
+    quad.clear_caches()
+    assert eval_numeric(Composition((1, 2)), tol=1e-10).converged
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(DomainError, match="^tolerance must be"):
+        eval_numeric(Composition((1, 2)), tol)
+    with pytest.raises(DomainError, match="^tolerance must be"):
+        eval_numeric(Composition((3,)), tol)
+    with pytest.raises(DomainError, match="^tolerance must be"):
+        eval_unit_cube_ones(3, tol)
+    with pytest.raises(DomainError, match="^tolerance must be"):
+        integrate_semi_infinite(lambda x: x**-2.0, 1.0, tol)
+
+
 def _log1pexp(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 

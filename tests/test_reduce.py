@@ -57,7 +57,7 @@ def basis_num(ids):
 
 
 def test_genterm_from_composition():
-    t = GenTerm.from_composition(Composition((2, 3)))
+    t = GenTerm.of(Composition((2, 3)))
     assert t.bounds == (F(1), F(1))
     assert t.factors == ((1, F(0), 2), (2, F(0), 3))
     assert t.depth == 2
@@ -66,7 +66,7 @@ def test_genterm_from_composition():
 
 
 def test_genterm_custom_bounds_and_scaling():
-    t = GenTerm.from_composition(Composition((1, 2)), bounds=(F(1, 2), 3))
+    t = GenTerm.of(ShiftedCMZV((F(1, 2), 3), Composition((1, 2))))
     assert t.bounds == (F(1, 2), F(3))
 
 
@@ -149,7 +149,7 @@ def test_genterm_suffix_check_matches_its_definition(case):
 
 
 def test_absorb_shifts_identity_when_clean():
-    t = GenTerm.from_composition(Composition((2, 2)))
+    t = GenTerm.of(Composition((2, 2)))
     assert absorb_shifts(t) is t
 
 
@@ -196,13 +196,13 @@ def test_absorb_shifts_preserves_numeric_value():
 
 
 def test_ibp_step_depth1_terminates_to_scalar():
-    ((q, only),) = ibp_step(GenTerm.from_composition(Composition((3,))))
+    ((q, only),) = ibp_step(GenTerm.of(Composition((3,))))
     assert only.depth == 0
     assert q == F(1, 2)
 
 
 def test_ibp_step_two_two_structure():
-    (qb, boundary), (qd, deriv) = ibp_step(GenTerm.from_composition(Composition((2, 2))))
+    (qb, boundary), (qd, deriv) = ibp_step(GenTerm.of(Composition((2, 2))))
     # boundary: the bound 1 is absorbed into the follower, giving the
     # shifted depth-1 value with bound 2
     assert qb == 1
@@ -222,7 +222,7 @@ def test_ibp_step_value_is_conserved():
 
 def test_ibp_step_preconditions():
     with pytest.raises(RewriteError):
-        ibp_step(GenTerm.from_composition(Composition((1, 2))))  # exponent 1
+        ibp_step(GenTerm.of(Composition((1, 2))))  # exponent 1
     with pytest.raises(RewriteError):
         ibp_step(GenTerm((1, 1), [(1, 1, 2), (2, 0, 2)]))  # nonzero shift
     with pytest.raises(RewriteError):
@@ -433,7 +433,7 @@ def plain_stack_reduce(c, bounds=None):
     every produced term kept separately, with no merging of like terms."""
     rational = F(0)
     logs, basis = {}, {}
-    stack = [(F(1), GenTerm.from_composition(Composition(c), bounds))]
+    stack = [(F(1), GenTerm.of(ShiftedCMZV(bounds, c) if bounds else c))]
     while stack:
         coeff, t = stack.pop()
         if coeff == 0:
@@ -471,7 +471,7 @@ def test_reduce_equals_plain_stack_reference():
     shifted = [((2, 2, 2), (F(17, 5), 1, 1)), ((1, 2), (F(1, 2), 3))]
     shifted += [((1, 2), (m1, m2)) for m1 in range(1, 4) for m2 in range(1, 4)]
     for parts, bounds in shifted:
-        got = reduce_to_basis(Composition(parts), bounds=bounds)
+        got = reduce_to_basis(ShiftedCMZV(bounds, parts))
         assert got == plain_stack_reduce(parts, bounds), (parts, bounds)
     clear_caches()
 
@@ -490,7 +490,7 @@ def test_reduce_step_budget_exhaustion():
     # included, cost no budget
     clear_caches()
     with pytest.raises(CapacityError):
-        reduce_to_basis(Composition((2, 2, 2)), bounds=(F(17, 5), 1, 1), step_budget=2)
+        reduce_to_basis(ShiftedCMZV((F(17, 5), 1, 1), Composition((2, 2, 2))), step_budget=2)
 
 
 # ---------------------------------------------------------------- term memo
@@ -554,13 +554,13 @@ def test_term_memo_hits_cost_no_budget():
     c, bounds = Composition((2, 2, 2)), (F(17, 5), 1, 1)
     clear_caches()
     with pytest.raises(CapacityError):
-        reduce_to_basis(c, bounds=bounds, step_budget=2)
+        reduce_to_basis(ShiftedCMZV(bounds, c), step_budget=2)
     assert not reduce_module._TERMS  # a call that raises stores nothing
-    warm = reduce_to_basis(c, bounds=bounds)
-    assert reduce_to_basis(c, bounds=bounds, step_budget=2) == warm
+    warm = reduce_to_basis(ShiftedCMZV(bounds, c))
+    assert reduce_to_basis(ShiftedCMZV(bounds, c), step_budget=2) == warm
     # without the root, only the root is rewritten: its subterms are hits
-    del reduce_module._TERMS[GenTerm.from_composition(c, bounds)]
-    assert reduce_to_basis(c, bounds=bounds, step_budget=1) == warm
+    del reduce_module._TERMS[GenTerm.of(ShiftedCMZV(bounds, c))]
+    assert reduce_to_basis(ShiftedCMZV(bounds, c), step_budget=1) == warm
     clear_caches()
 
 
@@ -592,7 +592,7 @@ def test_sum_formulas_hold_exactly_at_depths_five_and_six():
 def test_reduce_shifted_closed_form_grid():
     for m1 in range(1, 4):
         for m2 in range(1, 4):
-            got = reduce_to_basis(Composition((1, 2)), bounds=(m1, m2))
+            got = reduce_to_basis(ShiftedCMZV((m1, m2), Composition((1, 2))))
             assert got == depth2_closed_form(m1, m2), (m1, m2)
 
 
@@ -602,7 +602,7 @@ def test_reduce_random_shifted_against_quadrature():
         parts = rng.choice([(2, 2), (1, 3), (3, 2), (1, 2)])
         bounds = (rng.randint(1, 3), rng.randint(1, 3))
         c = Composition(parts)
-        sym = reduce_to_basis(c, bounds=bounds).evaluate(basis_num)
+        sym = reduce_to_basis(ShiftedCMZV(bounds, c)).evaluate(basis_num)
         num = eval_numeric(ShiftedCMZV(bounds, c), tol=1e-10).value
         assert abs(sym - num) < 1e-8, (parts, bounds)
 
