@@ -4,7 +4,11 @@ Subcommands: eval, reduce, shuffle, sumformula, poles, verify.  Output is a
 human table by default, or machine JSON / CSV via --format.  Every flag can
 be preset through an environment variable with the CMZV_ prefix (CMZV_TOL,
 CMZV_DEPTH_CAP, CMZV_STEP_BUDGET, CMZV_FORMAT, CMZV_SEED); explicit flags
-win.
+win.  main checks the shared options once, before any subcommand runs: a
+given tolerance by quad.check_tolerance, depth cap and step budget >= 1,
+and the format, which argparse does not check when it comes from
+CMZV_FORMAT.  Each subcommand then reads the parsed arguments alone, and
+every other input is checked by the library function that takes it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 non-convergence (for verify: every check passed, but some rests on a value
@@ -16,10 +20,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -27,32 +29,13 @@ from .compositions import Composition, ShiftedCMZV
 from .errors import CmzvError
 from .etaspace import sum_formula_lhs_terms, sum_formula_rhs
 from .poles import pole_hyperplanes
-from .quad import eval_numeric
+from .quad import check_tolerance, eval_numeric
 from .reduce import SymbolicConstant, reduce_to_basis
 from .shuffle import FormalWordSum, shuffle
 from .verify import SUITES, reduction_residual, run_suite, verify_identity
 
 _ENV_PREFIX = "CMZV_"
 _FORMATS = ("table", "json", "csv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float | None = None  # None: per-depth default
-    depth_cap: int = 6
-    step_budget: int = 10_000
-    fmt: str = "table"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.tolerance == math.inf:
-            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
-        if self.depth_cap < 1 or self.step_budget < 1:
-            raise ValueError("depth cap and step budget must both be >= 1")
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
 
 
 def _env(name: str, cast, fallback):
@@ -140,22 +123,22 @@ def render_word_sum(a: FormalWordSum) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
-    res = eval_numeric(_parse_target(args), tol=cfg.tolerance, depth_cap=cfg.depth_cap)
+def cmd_eval(args) -> int:
+    res = eval_numeric(_parse_target(args), tol=args.tol, depth_cap=args.depth_cap)
     rows = [
         ("value", f"{res.value:.15g}"),
         ("error_estimate", f"{res.error_estimate:.3e}"),
         ("evaluations", res.evaluations),
         ("converged", res.converged),
     ]
-    _emit_pairs(cfg.fmt, res.to_json(), rows)
+    _emit_pairs(args.format, res.to_json(), rows)
     return 0 if res.converged else 3
 
 
-def cmd_reduce(args, cfg: RunConfig) -> int:
+def cmd_reduce(args) -> int:
     target = _parse_target(args)
-    sc = reduce_to_basis(target, step_budget=cfg.step_budget, depth_cap=cfg.depth_cap)
-    symbolic, num, converged = reduction_residual(sc, target, cfg.tolerance, cfg.depth_cap)
+    sc = reduce_to_basis(target, step_budget=args.step_budget, depth_cap=args.depth_cap)
+    symbolic, num, converged = reduction_residual(sc, target, args.tol, args.depth_cap)
     residual = abs(symbolic - num)
     rows = [
         ("symbolic", render_symbolic(sc)),
@@ -165,23 +148,23 @@ def cmd_reduce(args, cfg: RunConfig) -> int:
     payload = dict(sc.to_json())
     payload["rendered"] = render_symbolic(sc)
     payload["residual"] = residual
-    _emit_pairs(cfg.fmt, payload, rows)
+    _emit_pairs(args.format, payload, rows)
     return 0 if converged else 3
 
 
-def cmd_shuffle(args, cfg: RunConfig) -> int:
+def cmd_shuffle(args) -> int:
     result = shuffle(args.word1, args.word2)
     rows = ([word if word else "1", str(coeff)] for word, coeff in result)
-    _emit(cfg.fmt, result.to_json(), ["word", "coefficient"], rows, [render_word_sum(result)])
+    _emit(args.format, result.to_json(), ["word", "coefficient"], rows, [render_word_sum(result)])
     return 0
 
 
-def cmd_sumformula(args, cfg: RunConfig) -> int:
+def cmd_sumformula(args) -> int:
     r, k = args.depth, args.weight
     rhs = sum_formula_rhs(r, k)
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
+    tol = args.tol if args.tol is not None else 1e-6
     check = verify_identity(
-        sum_formula_lhs_terms(r, k), rhs_constant=rhs, tol=tol, depth_cap=cfg.depth_cap
+        sum_formula_lhs_terms(r, k), rhs_constant=rhs, tol=tol, depth_cap=args.depth_cap
     )
     lhs, diff = check["lhs_value"], check["difference"]
     passed, converged = check["passed"], check["converged"]
@@ -208,29 +191,29 @@ def cmd_sumformula(args, cfg: RunConfig) -> int:
         "converged": converged,
         "evaluations": check["evaluations"],
     }
-    _emit_pairs(cfg.fmt, payload, rows)
+    _emit_pairs(args.format, payload, rows)
     if not converged:
         return 3
     return 0 if passed else 1
 
 
-def cmd_poles(args, cfg: RunConfig) -> int:
+def cmd_poles(args) -> int:
     planes = sorted(
         pole_hyperplanes(args.depth, args.k_max),
         key=lambda h: (len(h.coefficients), h.coefficients, -h.constant),
     )
     rows = ([" ".join(str(m) for m in h.coefficients), h.constant] for h in planes)
-    _emit(cfg.fmt, [h.to_json() for h in planes], ["coefficients", "constant"], rows, planes)
+    _emit(args.format, [h.to_json() for h in planes], ["coefficients", "constant"], rows, planes)
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     results = run_suite(
         args.suite,
         max_weight=args.max_weight,
-        tol=cfg.tolerance,
-        depth_cap=cfg.depth_cap,
-        seed=cfg.seed,
+        tol=args.tol,
+        depth_cap=args.depth_cap,
+        seed=args.seed,
         corrupt=args.corrupt,
     )
     passed = sum(1 for r in results if r.passed)
@@ -247,7 +230,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if unconverged:
         summary += f"; {unconverged} rest on values that did not converge"
     lines.append(summary)
-    _emit(cfg.fmt, payload, ["suite", "name", "passed", "detail"], rows, lines)
+    _emit(args.format, payload, ["suite", "name", "passed", "detail"], rows, lines)
     if passed < len(results):
         return 1
     return 3 if unconverged else 0
@@ -323,16 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        cfg = RunConfig(
-            tolerance=args.tol,
-            depth_cap=args.depth_cap,
-            step_budget=args.step_budget,
-            fmt=args.format,
-            seed=args.seed,
-        )
-        return args.fn(args, cfg)
+        args = build_parser().parse_args(argv)
+        if args.tol is not None:
+            check_tolerance(args.tol)
+        if args.depth_cap < 1 or args.step_budget < 1:
+            raise ValueError("depth cap and step budget must both be >= 1")
+        if args.format not in _FORMATS:  # argparse skips choices on a CMZV_FORMAT default
+            raise ValueError(f"format must be one of {_FORMATS}, got {args.format!r}")
+        return args.fn(args)
     except (CmzvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,12 @@ one positive rational lower bound per variable (the integral above has all
 bounds 1).  as_target turns a composition or a plain tuple of parts into the
 unit-bound target, and admissible_target adds the checks every route runs
 before it starts: the integral converges and its depth fits the cap.
+
+Each input rule of the package is checked by one function here:
+positive_bounds (lower bounds, also those of reduction terms and basis
+ids), is_admissible (the last part is >= 2), admissible_target (an
+admissible target within the depth cap) and check_word (a word uses only
+the letters x and y).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DivergenceError, DomainError, WordEncodingError
 
@@ -64,6 +70,15 @@ class Composition:
         return list(self.parts)
 
 
+def positive_bounds(bounds: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
+    """bounds as a tuple of Fractions, each > 0 (DomainError otherwise).
+    Bounds that are already Fractions are kept as they are."""
+    bt = tuple(b if type(b) is Fraction else Fraction(b) for b in bounds)
+    if any(b.numerator <= 0 for b in bt):  # a Fraction's denominator is positive
+        raise DomainError(f"lower bounds must be positive, got {bt}")
+    return bt
+
+
 def is_admissible(c: Composition) -> bool:
     """True when the defining integral converges, i.e. the last part is >= 2."""
     return c.parts[-1] >= 2
@@ -73,9 +88,9 @@ def is_admissible(c: Composition) -> bool:
 class ShiftedCMZV:
     """An iterated tail integral with per-variable lower bounds.
 
-    bounds are positive rationals, one per part of the exponents, a
-    Composition.  parts, weight and depth read as the exponents' do.
-    Bounds that are already Fractions are kept as they are.
+    bounds are positive rationals (positive_bounds), one per part of the
+    exponents, a Composition.  parts, weight and depth read as the
+    exponents' do.
     """
 
     bounds: tuple[Fraction, ...]
@@ -83,12 +98,10 @@ class ShiftedCMZV:
 
     def __init__(self, bounds: Sequence[Fraction | int], exponents: Composition | Sequence[int]):
         exponents = exponents if isinstance(exponents, Composition) else Composition(exponents)
-        bt = tuple(b if type(b) is Fraction else Fraction(b) for b in bounds)
+        bt = tuple(bounds)
         if len(bt) != exponents.depth:
             raise DomainError(f"{len(bt)} bounds for depth-{exponents.depth} exponents")
-        if any(b.numerator <= 0 for b in bt):  # a Fraction's denominator is positive
-            raise DomainError(f"lower bounds must be positive, got {bt}")
-        object.__setattr__(self, "bounds", bt)
+        object.__setattr__(self, "bounds", positive_bounds(bt))
         object.__setattr__(self, "exponents", exponents)
 
     @property
@@ -182,6 +195,17 @@ def word_from_composition(c: Composition) -> str:
     return "".join("y" + "x" * (k - 1) for k in c.parts)
 
 
+_LETTERS = frozenset("xy")
+
+
+def check_word(w: str) -> str:
+    """w itself if it uses only the letters x and y; WordEncodingError
+    otherwise.  The empty word passes."""
+    if not _LETTERS.issuperset(w):
+        raise WordEncodingError(f"word {w!r} uses letters outside {{x, y}}")
+    return w
+
+
 def composition_from_word(w: str) -> Composition:
     """Decode a word produced by word_from_composition.
 
@@ -191,8 +215,7 @@ def composition_from_word(w: str) -> Composition:
     """
     if not w:
         raise WordEncodingError("empty word encodes no composition")
-    if set(w) - {"x", "y"}:
-        raise WordEncodingError(f"word {w!r} uses letters outside {{x, y}}")
+    check_word(w)
     if w[0] != "y":
         raise WordEncodingError(f"word {w!r} does not start with y")
     parts: list[int] = []
@@ -206,18 +229,14 @@ def composition_from_word(w: str) -> Composition:
 
 def is_admissible_word(w: str) -> bool:
     """Words evaluable by the Z map: empty, or starting with y and ending with x."""
-    if w == "":
-        return True
-    return not (set(w) - {"x", "y"}) and w[0] == "y" and w[-1] == "x"
+    return w == "" or (_LETTERS.issuperset(w) and w[0] == "y" and w[-1] == "x")
 
 
 def admissible_compositions(weight: int) -> Iterator[Composition]:
     """All compositions of the given weight whose last part is >= 2."""
     if weight < 2:
         return
-    for c in compositions_of(weight):
-        if c.parts[-1] >= 2:
-            yield c
+    yield from filter(is_admissible, compositions_of(weight))
 
 
 def compositions_of(total: int) -> Iterator[Composition]:

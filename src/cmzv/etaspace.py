@@ -109,17 +109,23 @@ def composition_weight(c: Composition) -> Fraction:
     return factors
 
 
-def sum_formula_rhs(r: int, k: int) -> Fraction:
-    """Exact right-hand side eta^(r-1)(1/x^(k-2(r-1))) at x = 1.
-
-    Requires r >= 1 and k > 2(r-1) so the starting exponent is positive.
-    """
+def _start_exponent(r: int, k: int) -> int:
+    """l = k - 2(r-1), the exponent a depth-r, weight-k sum formula starts
+    from; DomainError unless r >= 1 and l > 0."""
     if not (isinstance(r, int) and r >= 1):
         raise DomainError(f"depth must be an integer >= 1, got {r!r}")
     l = k - 2 * (r - 1)
     if l <= 0:
         raise DomainError(f"need k > 2(r-1); got r={r}, k={k}")
-    return eval_at(eta_power(VElement.basis(0, l), r - 1), 1)
+    return l
+
+
+def sum_formula_rhs(r: int, k: int) -> Fraction:
+    """Exact right-hand side eta^(r-1)(1/x^(k-2(r-1))) at x = 1.
+
+    Requires r >= 1 and k > 2(r-1) so the starting exponent is positive.
+    """
+    return eval_at(eta_power(VElement.basis(0, _start_exponent(r, k)), r - 1), 1)
 
 
 def sum_formula_lhs_terms(r: int, k: int) -> tuple[tuple[Composition, Fraction], ...]:
@@ -127,12 +133,10 @@ def sum_formula_lhs_terms(r: int, k: int) -> tuple[tuple[Composition, Fraction],
 
     Each composition (k_1, ..., k_r) of k contributes the target composition
     (k_1, ..., k_{r-1}, 1 + k_r) with weight f(k_1, ..., k_r).  Zero-weight
-    terms are reported too, so callers see the full enumeration.
+    terms are reported too, so callers see the full enumeration.  The domain
+    is sum_formula_rhs's.
     """
-    if not (isinstance(r, int) and r >= 1):
-        raise DomainError(f"depth must be an integer >= 1, got {r!r}")
-    if k - 2 * (r - 1) <= 0:
-        raise DomainError(f"need k > 2(r-1); got r={r}, k={k}")
+    _start_exponent(r, k)
     out: list[tuple[Composition, Fraction]] = []
     # r-part compositions of k are the (r-1)-subsets of cut points 1..k-1,
     # and lexicographic order on the cuts is lexicographic order on the parts

@@ -56,7 +56,8 @@ silently truncated; a sum that is not finite raises DomainError.  The two
 zeta forms share one memo: a stored result serves every tolerance at or
 above its error estimate if it converged, else every tolerance at or above
 the one it was computed at, and a served result is converged when its
-estimate meets the request.  A tolerance is a finite positive number.
+estimate meets the request.  A tolerance is a finite positive number
+(check_tolerance).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compositions import Composition, ShiftedCMZV, admissible_target
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 
 @dataclass(frozen=True)
 class NumericResult:
@@ -261,16 +262,18 @@ def default_tolerance(depth: int) -> float:
     return 1e-8 if depth <= 3 else 1e-5
 
 
-def _tolerance(tol: float | None, depth: int) -> float:
-    """tol, or the default at depth if it is None; a tolerance must be a
-    finite positive number (DomainError otherwise)."""
-    if tol is None:
-        return default_tolerance(depth)
+def check_tolerance(tol: float) -> float:
+    """tol itself if it is a finite positive number; DomainError otherwise."""
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     if tol == math.inf:
         raise DomainError(f"tolerance must be finite, got {tol}")
     return tol
+
+
+def _tolerance(tol: float | None, depth: int) -> float:
+    """tol, checked by check_tolerance, or the default at depth if it is None."""
+    return default_tolerance(depth) if tol is None else check_tolerance(tol)
 
 
 # One memo for both routes, keyed (bounds, parts) or ("cube", r).  Each
@@ -503,12 +506,12 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) ->
     An independent route from eval_numeric: bounded domain, no
     compactification, different integrand shape.  Depth 2 has no tensor
     level and is the closed form log 2; deeper values share eval_numeric's
-    memo.
+    memo.  The depth cap is checked on that target, by
+    compositions.admissible_target, as eval_numeric does.
     """
     if not (isinstance(r, int) and r >= 2):
         raise DomainError(f"need integer depth r >= 2, got {r!r}")
-    if r > depth_cap:
-        raise CapacityError(f"depth {r} exceeds the configured cap {depth_cap}")
+    admissible_target((1,) * (r - 1) + (2,), depth_cap)
     tol = _tolerance(tol, r)
     if r == 2:  # no tensor level: the closed form int_0^1 dy / (1 + y)
         value = math.log1p(1.0)

@@ -56,7 +56,7 @@ from .compositions import (
     admissible_target,
     as_target,
     compositions_of,
-    is_admissible,
+    positive_bounds,
 )
 from .errors import CapacityError, DivergenceError, DomainError, RewriteError
 from .linear import normal_form
@@ -69,7 +69,8 @@ _ZERO = Fraction(0)
 class GenTerm:
     """A convergent iterated tail integral (see module docstring).
 
-    Invariants enforced here: bounds positive; shifts >= 0; exponents >= 1;
+    Invariants enforced here: bounds positive (compositions.positive_bounds,
+    the one check of every lower bound); shifts >= 0; exponents >= 1;
     every variable index carries at least one factor; and the suffix
     conditions sum(exponents at indices >= j) > s - j + 1 hold for every j,
     so the represented integral converges.  Every construction runs these
@@ -90,7 +91,7 @@ class GenTerm:
         bounds: Sequence[Fraction | int],
         factors: Sequence[tuple[int, Fraction | int, int]],
     ):
-        bt = tuple(b if type(b) is Fraction else Fraction(b) for b in bounds)
+        bt = positive_bounds(bounds)
         ft = tuple(
             sorted(
                 (
@@ -102,8 +103,6 @@ class GenTerm:
             )
         )
         s = len(bt)
-        if any(b <= 0 for b in bt):
-            raise DomainError(f"lower bounds must be positive, got {bt}")
         totals = [0] * s  # totals[i - 1]: the exponent sum at index i
         for i, c, a in ft:
             if not 1 <= i <= s:
@@ -154,20 +153,14 @@ class GenTerm:
         return tuple(exps)
 
 
-def _check_basis_id(ids: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    key = tuple(m if type(m) is Fraction else Fraction(m) for m in ids)
-    if any(m <= 0 for m in key):
-        raise DomainError(f"basis ids must be positive, got {key}")
-    return key
-
-
 @dataclass(frozen=True)
 class SymbolicConstant:
     """Exact value: rational + sum(q_p log p) + sum(q_m B_m).
 
     logs are keyed by prime so equal reals have equal representations;
-    basis ids are the bound tuples of all-ones-then-2 generators of depth >= 3.
-    Both are kept in the normal form of linear.normal_form.
+    basis ids are the bound tuples of all-ones-then-2 generators of depth >= 3,
+    checked as lower bounds (compositions.positive_bounds).  Both are kept
+    in the normal form of linear.normal_form.
     """
 
     rational: Fraction
@@ -182,7 +175,7 @@ class SymbolicConstant:
     ):
         object.__setattr__(self, "rational", Fraction(rational))
         object.__setattr__(self, "logs", normal_form(logs, int))
-        object.__setattr__(self, "basis", normal_form(basis, _check_basis_id))
+        object.__setattr__(self, "basis", normal_form(basis, positive_bounds))
 
     def __add__(self, other: "SymbolicConstant") -> "SymbolicConstant":
         return SymbolicConstant(
@@ -467,9 +460,7 @@ def integrate_tail(
     factored over primes.  Exponents >= 2 integrate to rationals
     beta (m+c)^(1-e)/(e-1).
     """
-    m = Fraction(m)
-    if m <= 0:
-        raise DomainError(f"lower bound must be positive, got {m}")
+    (m,) = positive_bounds((m,))
     rational = Fraction(0)
     logs: list[tuple[int, Fraction]] = []
     residue = Fraction(0)
@@ -492,11 +483,10 @@ def integrate_tail(
 def depth_embedding(c: Composition) -> tuple[Composition, Composition]:
     """The exact identity zeta(k_1..k_r) = zeta(..., k_r - 1, 2) + zeta(..., k_r, 2).
 
-    Both right-hand targets are admissible, one depth higher.
+    Both right-hand targets are admissible, one depth higher.  c itself
+    must be admissible (compositions.admissible_target).
     """
-    if not is_admissible(c):
-        raise DivergenceError(f"{c} is not admissible")
-    k = c.parts
+    k = admissible_target(c, c.depth).parts
     return (
         Composition(k[:-1] + (k[-1] - 1, 2)),
         Composition(k + (2,)),
@@ -512,10 +502,7 @@ def basis_ids(depth: int) -> Iterator[tuple[int, ...]]:
 
 def depth2_closed_form(m1: Fraction | int, m2: Fraction | int) -> SymbolicConstant:
     """zeta_{m1,m2}(1,2) = (1/m2) log((m1+m2)/m1), factored over primes."""
-    m1 = Fraction(m1)
-    m2 = Fraction(m2)
-    if m1 <= 0 or m2 <= 0:
-        raise DomainError("bounds must be positive")
+    m1, m2 = positive_bounds((m1, m2))
     return SymbolicConstant(0, [(p, Fraction(mult, 1) / m2) for p, mult in _factored_log((m1 + m2) / m1)])
 
 

@@ -8,7 +8,9 @@ The shuffle product interleaves two words in all order-preserving ways:
 with u, v single letters.  Evaluating a word sum term by term on the
 corresponding compositions (the Z map) is an algebra homomorphism into the
 reals; that multiplicativity is checked numerically elsewhere, never assumed.
-All coefficients are exact rationals.
+All coefficients are exact rationals.  Every word a product or a word sum
+takes in is checked by compositions.check_word, so a letter other than x
+and y raises WordEncodingError.
 """
 
 from __future__ import annotations
@@ -17,17 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .compositions import Composition, composition_from_word, is_admissible_word
-from .errors import CapacityError, DomainError, WordEncodingError
+from .compositions import Composition, check_word, composition_from_word, is_admissible_word
+from .errors import CapacityError, WordEncodingError
 from .linear import LinearCombination, normal_form
-
-_LETTERS = {"x", "y"}
-
-
-def _check_word(w: str) -> str:
-    if set(w) - _LETTERS:
-        raise DomainError(f"word {w!r} uses letters outside {{x, y}}")
-    return w
 
 
 @dataclass(frozen=True)
@@ -40,7 +34,7 @@ class FormalWordSum(LinearCombination):
     terms: tuple[tuple[str, Fraction], ...]
 
     def __init__(self, terms: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]] = ()):
-        object.__setattr__(self, "terms", normal_form(terms, _check_word))
+        object.__setattr__(self, "terms", normal_form(terms, check_word))
 
     @classmethod
     def of(cls, word: str, coeff: Fraction | int = 1) -> "FormalWordSum":
@@ -90,8 +84,8 @@ def _shuffle_words(w1: str, w2: str) -> tuple[tuple[str, int], ...]:
 
 def shuffle(w1: str, w2: str) -> FormalWordSum:
     """Shuffle product of two plain words (integer coefficients)."""
-    _check_word(w1)
-    _check_word(w2)
+    check_word(w1)
+    check_word(w2)
     return FormalWordSum([(w, Fraction(n)) for w, n in _shuffle_words(w1, w2)])
 
 

@@ -88,7 +88,7 @@ class _Values:
         return self._take(quad.eval_numeric(target, tol=tol, depth_cap=self.depth_cap))
 
     def cube(self, r: int, tol: float) -> float:
-        return self._take(quad.eval_unit_cube_ones(r, tol=tol))
+        return self._take(quad.eval_unit_cube_ones(r, tol, self.depth_cap))
 
     def generator(self, ids, tol: float | None) -> float:
         return self._take(quad.eval_basis_generator(ids, tol, self.depth_cap))

@@ -520,6 +520,22 @@ def test_bad_tolerance_flag(capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["verify", "all"], ["sumformula", "2", "4"]])
+def test_negative_tolerance_is_reported_as_given(capsys, argv):
+    # checked once, before a suite or identity splits it into per-term shares
+    assert main([*argv, "--tol", "-1"]) == 2
+    assert capsys.readouterr().err == "error: tolerance must be positive, got -1.0\n"
+
+
+def test_bad_format_from_env_is_usage_error(monkeypatch, capsys):
+    # argparse does not apply choices to a default, so main checks it
+    monkeypatch.setenv("CMZV_FORMAT", "bogus")
+    assert main(["eval", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: format must be one of ('table', 'json', 'csv'), got 'bogus'\n"
+
+
 @pytest.mark.parametrize("argv", [["verify", "all"], ["reduce", "1,2"], ["eval", "1,2"]])
 def test_infinite_tolerance_is_usage_error(monkeypatch, capsys, argv):
     assert main([*argv, "--tol", "inf"]) == 2

@@ -1,4 +1,5 @@
-"""Composition arithmetic, word codecs, and convergence-domain predicates."""
+"""Composition arithmetic, word codecs, convergence-domain predicates, and
+the one check of each input rule."""
 
 import random
 from fractions import Fraction
@@ -11,16 +12,28 @@ from cmzv.compositions import (
     admissible_compositions,
     admissible_target,
     as_target,
+    check_word,
     composition_from_word,
     compositions_of,
     convergence_bound,
     in_convergence_domain,
     is_admissible,
     is_admissible_word,
+    positive_bounds,
     word_from_composition,
 )
-from cmzv.errors import DomainError, WordEncodingError
-from cmzv.reduce import GenTerm
+from cmzv.errors import CapacityError, DivergenceError, DomainError, WordEncodingError
+from cmzv.quad import eval_numeric, eval_unit_cube_ones
+from cmzv.reduce import (
+    GenTerm,
+    SymbolicConstant,
+    depth2_closed_form,
+    depth_embedding,
+    integrate_tail,
+    reduce_to_basis,
+)
+from cmzv.shuffle import FormalWordSum, shuffle
+from cmzv.verify import _Values
 
 
 def test_composition_basics():
@@ -83,6 +96,7 @@ def test_is_admissible_word():
     assert not is_admissible_word("yxy")
     assert not is_admissible_word("xyx")
     assert not is_admissible_word("y")
+    assert not is_admissible_word("yzx")
 
 
 def test_admissible_word_iff_admissible_composition():
@@ -161,3 +175,78 @@ def test_unit_bounds_give_the_composition_term():
     for w in range(2, 8):
         for c in admissible_compositions(w):
             assert GenTerm.of(c) == GenTerm.of(ShiftedCMZV((1,) * c.depth, c)), c
+
+
+# ------------------------------------------------- one check per input rule
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: ShiftedCMZV((1, 0), (1, 2)), (1, 0)),
+        (lambda: GenTerm((Fraction(-1, 2),), [(1, 0, 2)]), (Fraction(-1, 2),)),
+        (lambda: SymbolicConstant(basis={(1, 0, 2): 1}), (1, 0, 2)),
+        (lambda: integrate_tail([(0, 2, 1)], 0), (0,)),
+        (lambda: depth2_closed_form(1, -3), (1, -3)),
+    ],
+    ids=["ShiftedCMZV", "GenTerm", "SymbolicConstant basis", "integrate_tail", "depth2_closed_form"],
+)
+def test_every_lower_bound_has_one_check(call, shown):
+    with pytest.raises(DomainError) as info:
+        call()
+    expected = tuple(Fraction(b) for b in shown)
+    assert str(info.value) == f"lower bounds must be positive, got {expected}"
+
+
+def test_positive_bounds_keeps_fractions_and_takes_iterators():
+    half = Fraction(1, 2)
+    assert positive_bounds([half])[0] is half
+    assert positive_bounds(iter([2, half])) == (Fraction(2), half)
+    assert ShiftedCMZV(iter([2, half]), (1, 2)).bounds == (Fraction(2), half)
+    # the count is reported before the sign
+    with pytest.raises(DomainError, match=r"^3 bounds for depth-2 exponents$"):
+        ShiftedCMZV((1, 1, 0), (2, 2))
+
+
+@pytest.mark.parametrize("call", [eval_numeric, reduce_to_basis, depth_embedding])
+def test_every_admissibility_check_says_the_same(call):
+    message = r"^\(2,1\) is non-admissible \(last part < 2\); the integral diverges$"
+    with pytest.raises(DivergenceError, match=message):
+        call(Composition((2, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, depth, cap",
+    [
+        (lambda: eval_numeric((1,) * 6 + (2,)), 7, 6),
+        (lambda: reduce_to_basis((1,) * 6 + (2,)), 7, 6),
+        (lambda: eval_unit_cube_ones(7), 7, 6),
+        (lambda: _Values(3).cube(4, 1e-6), 4, 3),
+    ],
+    ids=["eval_numeric", "reduce_to_basis", "eval_unit_cube_ones", "verify cube"],
+)
+def test_every_depth_cap_check_says_the_same(call, depth, cap):
+    with pytest.raises(CapacityError, match=f"^depth {depth} exceeds the configured cap {cap}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, word",
+    [
+        (lambda: check_word("yz"), "yz"),
+        (lambda: shuffle("yz", "yx"), "yz"),
+        (lambda: shuffle("yx", "y x"), "y x"),
+        (lambda: FormalWordSum({"ab": 1}), "ab"),
+        (lambda: composition_from_word("yz"), "yz"),
+    ],
+    ids=["check_word", "shuffle", "shuffle second word", "FormalWordSum", "composition_from_word"],
+)
+def test_every_word_has_one_letter_check(call, word):
+    with pytest.raises(WordEncodingError) as info:
+        call()
+    assert str(info.value) == f"word {word!r} uses letters outside {{x, y}}"
+
+
+def test_check_word_passes_words_over_x_and_y():
+    for w in ("", "x", "yxxy"):
+        assert check_word(w) == w

@@ -100,10 +100,14 @@ def test_composition_weight_examples():
 
 
 def test_sum_formula_rhs_requires_positive_exponent():
-    with pytest.raises(DomainError):
-        sum_formula_rhs(2, 2)
-    with pytest.raises(DomainError):
-        sum_formula_rhs(3, 4)
+    # the left-hand side has the same domain, checked by the same helper
+    for side in (sum_formula_rhs, sum_formula_lhs_terms):
+        with pytest.raises(DomainError, match=r"^need k > 2\(r-1\); got r=2, k=2$"):
+            side(2, 2)
+        with pytest.raises(DomainError, match=r"^need k > 2\(r-1\); got r=3, k=4$"):
+            side(3, 4)
+        with pytest.raises(DomainError, match=r"^depth must be an integer >= 1, got 0$"):
+            side(0, 4)
 
 
 def test_sum_formula_rhs_depth1_is_plain_power():

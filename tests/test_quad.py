@@ -16,6 +16,7 @@ from cmzv.errors import CapacityError, DivergenceError, DomainError
 from cmzv.quad import (
     NumericResult,
     ShiftedCMZV,
+    check_tolerance,
     default_tolerance,
     eval_basis_generator,
     eval_numeric,
@@ -221,6 +222,8 @@ def test_memo_hit_is_converged_when_its_estimate_meets_the_request(monkeypatch):
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6])
 def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(DomainError, match="^tolerance must be"):
+        check_tolerance(tol)
     with pytest.raises(DomainError, match="^tolerance must be"):
         eval_numeric(Composition((1, 2)), tol)
     with pytest.raises(DomainError, match="^tolerance must be"):
