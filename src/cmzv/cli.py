@@ -1,14 +1,18 @@
 """Command line front end.
 
 Subcommands: eval, reduce, shuffle, sumformula, poles, verify.  Output is a
-human table by default, or machine JSON / CSV via --format.  Every flag can
-be preset through an environment variable with the CMZV_ prefix (CMZV_TOL,
-CMZV_DEPTH_CAP, CMZV_STEP_BUDGET, CMZV_FORMAT, CMZV_SEED); explicit flags
-win.  main checks the shared options once, before any subcommand runs: a
-given tolerance by quad.check_tolerance, depth cap and step budget >= 1,
-and the format, which argparse does not check when it comes from
-CMZV_FORMAT.  Each subcommand then reads the parsed arguments alone, and
-every other input is checked by the library function that takes it.
+human table by default, or machine JSON / CSV via --format.  Every
+subcommand accepts the shared flags, and each can be preset through an
+environment variable with the CMZV_ prefix (CMZV_TOL, CMZV_DEPTH_CAP,
+CMZV_STEP_BUDGET, CMZV_FORMAT, CMZV_SEED); explicit flags win.  Each
+subcommand names the shared options it reads, and main reads the variables
+of those alone, so a variable that does not parse breaks only the commands
+that read it.  main then checks the shared options once, before the
+subcommand runs: a given tolerance by quad.check_tolerance, depth cap and
+step budget >= 1, and the format, which argparse does not check when it
+comes from CMZV_FORMAT.  Each subcommand then reads the parsed arguments
+alone, and every other input is checked by the library function that takes
+it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 non-convergence (for verify: every check passed, but some rests on a value
@@ -36,6 +40,15 @@ from .verify import SUITES, reduction_residual, run_suite, verify_identity
 
 _ENV_PREFIX = "CMZV_"
 _FORMATS = ("table", "json", "csv")
+# The shared options: name (its variable is CMZV_ and the name in capitals),
+# type, and default when neither a flag nor the variable sets it.
+_SHARED = (
+    ("tol", float, None),
+    ("depth_cap", int, 6),
+    ("step_budget", int, 10_000),
+    ("format", str, "table"),
+    ("seed", int, 0),
+)
 
 
 def _env(name: str, cast, fallback):
@@ -239,26 +252,16 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=_env("TOL", float, None),
-        help="absolute tolerance (default: per-depth heuristic)",
+        "--tol", type=float, help="absolute tolerance (default: per-depth heuristic)"
     )
+    common.add_argument("--depth-cap", type=int, help="maximum depth accepted (default 6)")
     common.add_argument(
-        "--depth-cap", type=int, default=_env("DEPTH_CAP", int, 6),
-        help="maximum depth accepted (default 6)",
-    )
-    common.add_argument(
-        "--step-budget", type=int, default=_env("STEP_BUDGET", int, 10_000),
+        "--step-budget", type=int,
         help="maximum distinct terms a reduction rewrites; a term memoized by an "
         "earlier reduction in the process costs nothing (default 10000)",
     )
-    common.add_argument(
-        "--format", choices=_FORMATS, default=_env("FORMAT", str, "table"),
-        help="output format (default table)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=_env("SEED", int, 0),
-        help="seed for randomized spot checks (default 0)",
-    )
+    common.add_argument("--format", choices=_FORMATS, help="output format (default table)")
+    common.add_argument("--seed", type=int, help="seed for randomized spot checks (default 0)")
 
     p = argparse.ArgumentParser(
         prog="cmzv",
@@ -271,27 +274,27 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", parents=[common], help="numeric value of zeta(k1,...,kr)")
     pe.add_argument("composition", help="comma-separated positive integers, e.g. 1,2")
     pe.add_argument("--bounds", help="comma-separated lower bounds, e.g. 2,3 (default all 1)")
-    pe.set_defaults(fn=cmd_eval)
+    pe.set_defaults(fn=cmd_eval, reads=("tol", "depth_cap", "format"))
 
     pr = sub.add_parser("reduce", parents=[common], help="exact reduction to the graded basis")
     pr.add_argument("composition", help="comma-separated positive integers, e.g. 2,2")
     pr.add_argument("--bounds", help="comma-separated lower bounds (default all 1)")
-    pr.set_defaults(fn=cmd_reduce)
+    pr.set_defaults(fn=cmd_reduce, reads=("tol", "depth_cap", "step_budget", "format"))
 
     ps = sub.add_parser("shuffle", parents=[common], help="shuffle product of two words over {x,y}")
     ps.add_argument("word1")
     ps.add_argument("word2")
-    ps.set_defaults(fn=cmd_shuffle)
+    ps.set_defaults(fn=cmd_shuffle, reads=("format",))
 
     pf = sub.add_parser("sumformula", parents=[common], help="weighted depth-r sum formula at weight k")
     pf.add_argument("depth", type=int)
     pf.add_argument("weight", type=int)
-    pf.set_defaults(fn=cmd_sumformula)
+    pf.set_defaults(fn=cmd_sumformula, reads=("tol", "depth_cap", "format"))
 
     pp = sub.add_parser("poles", parents=[common], help="candidate pole hyperplanes at a given depth")
     pp.add_argument("depth", type=int)
     pp.add_argument("k_max", type=int)
-    pp.set_defaults(fn=cmd_poles)
+    pp.set_defaults(fn=cmd_poles, reads=("format",))
 
     pv = sub.add_parser("verify", parents=[common], help="run a cross-verification suite")
     pv.add_argument("suite", choices=("all",) + SUITES)
@@ -300,16 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--corrupt", action="store_true",
         help="inject a deliberately wrong constant (harness self-test; must fail)",
     )
-    pv.set_defaults(fn=cmd_verify)
+    pv.set_defaults(fn=cmd_verify, reads=("tol", "depth_cap", "seed", "format"))
     return p
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for name, cast, default in _SHARED:
+            if getattr(args, name) is None and name in args.reads:
+                setattr(args, name, _env(name.upper(), cast, default))
         if args.tol is not None:
             check_tolerance(args.tol)
-        if args.depth_cap < 1 or args.step_budget < 1:
+        if any(n is not None and n < 1 for n in (args.depth_cap, args.step_budget)):
             raise ValueError("depth cap and step budget must both be >= 1")
         if args.format not in _FORMATS:  # argparse skips choices on a CMZV_FORMAT default
             raise ValueError(f"format must be one of {_FORMATS}, got {args.format!r}")

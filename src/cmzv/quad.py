@@ -12,14 +12,17 @@ double-exponentially in the step h.  Three integral forms feed it, each as a
     takes it checked by compositions.admissible_target).  The depth-r
     integral over prod_i [m_i, oo) of
     1 / (x_1^{k_1} (x_1+x_2)^{k_2} ... (x_1+...+x_r)^{k_r}) integrates the
-    innermost variable analytically,
-        int_{m_r}^oo (T + x_r)^{-k_r} dx_r = (T + m_r)^(1-k_r) / (k_r - 1),
-    and maps each other half-line by exp-sinh, x_j = m_j + sigma exp(pi sinh s),
-    with the Jacobian taken from the same exponential, so nothing is computed
-    as 1 - t.  The scale sigma follows the state.  The outer levels are
-    formed in logarithms; the last level and the leaf share one closed form
-    that takes two exps per row of the last dimension and only arithmetic
-    per point.  Lower bounds from 1e-300 to 1e300 neither overflow nor lose
+    last two variables analytically: with C = x_1 + ... + x_{r-2} + m_{r-1},
+    a = k_{r-1} and b = k_r - 1 they give
+        C^(1-a-b) J(a, b; m_r / C) / (k_r - 1),
+        J(a, b; z) = int_1^oo v^(-a) (v + z)^(-b) dv,
+    one function of one ratio, taken in logarithms by log_j (the Pfaff
+    series up to z = 4, exact partial fractions above).  Depth 2 is that
+    closed form alone, counted as one evaluation.  Each of the other r - 2
+    half-lines maps by exp-sinh, x_j = m_j + sigma exp(pi sinh s), with the
+    Jacobian taken from the same exponential, so nothing is computed as
+    1 - t.  The scale sigma follows the state, and every level is formed in
+    logarithms.  Lower bounds from 1e-300 to 1e300 neither overflow nor lose
     the scale, and bounds outside that range raise DomainError
     (`_semi_infinite_form`);
   * the unit-cube form of zeta(1, ..., 1, 2), whose integrand
@@ -42,21 +45,28 @@ are computed once per process, over |s| <= 7 on first use, and every sweep
 at that step slices them.
 
 The error estimate of the value I_h is
-    |I_h - I_2h| + tails + dropped + 1e-13 |I_h|:
+    |I_h - I_2h| + tails + dropped + rounding |I_h|:
 the tails bound the truncated nodes at both ends of every dimension from the
 marginal sum at the end node and its per-node decay over the last half unit
-of s (a geometric series; the true decay is faster), and the last term
-allows for rounding through logarithms of size up to about 700.  The rule
-stops at the first level whose estimate is <= tol.  `evaluations` counts
-integrand points over all levels, first-level regrowth included.  A call
-that would pass _MAX_POINTS points, reaches the finest step, or finds its
-rounding allowance alone above tol returns converged=False with the
-estimate it has.  Results that miss their tolerance are flagged, never
-silently truncated; a sum that is not finite raises DomainError.  The two
-zeta forms share one memo: a stored result serves every tolerance at or
-above its error estimate if it converged, else every tolerance at or above
-the one it was computed at, and a served result is converged when its
-estimate meets the request.  A tolerance is a finite positive number
+of s (a geometric series; the true decay is faster); dropped sums the
+analytic bounds of the dropped prefixes (on the semi-infinite form, the
+integral of the last three variables over c <= u_1 <= u_2 <= u_3).  The
+rounding allowance is 1e-13, for rounding through logarithms of size up to
+about 700, plus, on the semi-infinite form, log_j's proven bound delta_J on
+the relative error of J over the z that the form reaches: every integrand
+value is positive, so a relative error of at most delta_J in each moves the
+value by at most delta_J |I|.  The same allowance sets the rounding stop
+below.  The rule stops at the first level whose estimate is <= tol.
+`evaluations` counts integrand points over all levels, first-level regrowth
+included.  A call that would pass _MAX_POINTS points, reaches the finest
+step, or finds its rounding allowance alone above tol returns
+converged=False with the estimate it has.  Results that miss their
+tolerance are flagged, never silently truncated; a sum that is not finite
+raises DomainError.  The two zeta forms and the depth-2 closed form share
+one memo: a stored result serves every tolerance at or above its error
+estimate if it converged, else every tolerance at or above the one it was
+computed at, and a served result is converged when its estimate meets the
+request.  A tolerance is a finite positive number
 (check_tolerance).
 """
 
@@ -113,7 +123,8 @@ class _Form:
     together, returning the integrand, Jacobians included, on the block of
     rows (each state array shaped (rows, 1)) times nodes.  bound(state),
     before the last level, bounds the accumulated weight times the integral
-    over the remaining variables.
+    over the remaining variables.  rounding is the relative rounding
+    allowance of a value of the form.
     """
 
     state: tuple
@@ -121,6 +132,7 @@ class _Form:
     expand: Callable
     last: Callable
     bound: Callable
+    rounding: float = _ROUND
 
 
 def _sweep(form: _Form, dims: int, level: int, lo: np.ndarray, hi: np.ndarray, drop_tol: float):
@@ -205,9 +217,9 @@ def _end(m: list, h: float, share: float, room: int) -> tuple[float | None, int]
     return (tail + summed if n > 0 else tail), -n
 
 
-def _tensor(form: _Form, dims: int, tol: float) -> tuple[float, float, int, bool]:
-    """(value, error estimate, evaluations, converged) of the integral of
-    form over R^dims, dims >= 1, by the tensor double-exponential rule."""
+def _tensor(form: _Form, dims: int, tol: float) -> NumericResult:
+    """The integral of form over R^dims, dims >= 1, by the tensor
+    double-exponential rule."""
     lo = np.full(dims, -round(2 * _S_START))  # node indices at h = 1/2
     hi = -lo
     share = tol / (16 * dims)  # per end of each dimension; all ends: tol/8
@@ -247,14 +259,14 @@ def _tensor(form: _Form, dims: int, tol: float) -> tuple[float, float, int, bool
         else:
             value = total
             rule = abs(total - prev) + tails + dropped
-            error = rule + _ROUND * abs(total)
+            error = rule + form.rounding * abs(total)
             if error <= tol:
                 converged = True
                 break
-            if rule <= _ROUND * abs(total):
+            if rule <= form.rounding * abs(total):
                 break  # rounding alone misses tol; a finer step cannot help
         prev = total
-    return value, error, evaluations, converged
+    return NumericResult(value, error, evaluations, converged)
 
 
 def default_tolerance(depth: int) -> float:
@@ -289,9 +301,9 @@ def clear_caches() -> None:
         _cache.clear()
 
 
-def _memoized(key: tuple, tol: float, form: _Form, dims: int) -> NumericResult:
-    """The stored result for key if it serves tol, else a fresh run of the
-    tensor rule, which is stored if it serves more tolerances than the entry.
+def _memoized(key: tuple, tol: float, run: Callable[[float], NumericResult]) -> NumericResult:
+    """The stored result for key if it serves tol, else run(tol), which is
+    stored if it serves more tolerances than the entry.
 
     A result that converged serves every tol at or above its error
     estimate, which is at most the tolerance it was computed at; one that
@@ -306,7 +318,7 @@ def _memoized(key: tuple, tol: float, form: _Form, dims: int) -> NumericResult:
         if not result.converged and result.error_estimate <= tol:
             result = replace(result, converged=True)
         return result
-    result = NumericResult(*_tensor(form, dims, tol))
+    result = run(tol)
     serves = result.error_estimate if result.converged else tol
     with _cache_lock:
         prev = _cache.get(key)
@@ -333,15 +345,12 @@ def _node_table(nodes: Callable[[np.ndarray], tuple]) -> Callable[[int], tuple]:
 
 @_node_table
 def _exp_sinh_nodes(s: np.ndarray) -> tuple:
-    """pi sinh s, log(pi cosh s), E = exp(pi sinh s), 1/E and pi cosh s.
-
-    E overflows beyond s ~ 6.1 and 1/E below s ~ -6.1; the nodes are
-    symmetric about s = 0, so 1/E at s is E at -s.
-    """
+    """pi sinh s, log(pi cosh s), E = exp(pi sinh s) and pi cosh s; E
+    overflows beyond s ~ 6.1."""
     ps, pc = np.pi * np.sinh(s), np.pi * np.cosh(s)
     with np.errstate(over="ignore"):
         e = np.exp(ps)
-    return ps, np.log(pc), e, e[::-1], pc
+    return ps, np.log(pc), e, pc
 
 
 @_node_table
@@ -356,8 +365,145 @@ def _tanh_sinh_nodes(s: np.ndarray) -> tuple:
     return np.where(up, far_end, near_end), np.pi * np.cosh(s) * np.where(up, near_end, far_end)
 
 
+# J(a, b; z) = int_1^oo v^(-a) (v + z)^(-b) dv, in logarithms (log_j).
+_U = 2.0**-53  # unit roundoff
+_J_SPLIT = math.log(4.0)  # log z above which log_j leaves the Pfaff series
+_J_TAIL = 2.0**-56  # relative truncation of the Pfaff series
+_J_TERMS = 256  # Pfaff coefficients kept; w <= 4/5 needs under 190 terms
+
+
+@dataclass(frozen=True)
+class _JTable:
+    """The per-(a, b) constants of log_j: the Pfaff coefficients (b)_n/(a+b)_n
+    for n <= _J_TERMS, the partial-fraction polynomial in y = 1/(1+z) with
+    its log(1+z) coefficient, and the two regimes' error bounds in units of
+    _U (the large one without its 3 b log z part)."""
+
+    pfaff: tuple
+    poly: np.ndarray
+    log_coeff: float
+    eps_small: float
+    eps_large: float
+
+
+@functools.cache
+def _j_table(a: int, b: int) -> _JTable:
+    n = a + b - 2
+    steps = np.arange(_J_TERMS)
+    pfaff = tuple(np.cumprod(np.concatenate(([1.0], (b + steps) / (a + b + steps)))))
+    # u^n (1+u)^(-b) = sum_j C(n,j) (-1)^(n-j) (1+u)^(j-b); integrated over
+    # [0, z] and scaled by (1+z)^(1-a), each term with e = j-b+1 != 0 gives
+    # (y^(a-1-e) - y^(a-1)) / e and the term with e = 0 gives log(1+z) y^(a-1).
+    q, log_coeff = [Fraction(0)] * (n + 1), 0
+    for j in range(n + 1):
+        c, e = math.comb(n, j) * (-1) ** (n - j), j - b + 1
+        if e == 0:
+            log_coeff = c
+        else:
+            q[a - 1 - e] += Fraction(c, e)
+            q[a - 1] -= Fraction(c, e)
+    # The Pfaff sum S >= 1 has positive terms.  Horner's rule perturbs term n
+    # by at most (2n + 1) u, its coefficient (a running product) carries 2n u
+    # and w^n n 4u, and under weights P_n w^n the mean n is at most
+    # w/(1-w) <= 4: S is within 33u, its truncation within u/8.  With
+    # log1p(z) <= log 5 within 4u, the logarithms and the two subtractions
+    # add at most (6 + 11.3 b + 3 log(a+b)) u.
+    eps_small = 56.0 + 12.0 * b + 3.0 * math.log(a + b)
+    # V = (1+z)^(1-a) int_0^z u^n (1+u)^(-b) du rises with z (for a >= 2,
+    # since (a-1) int_0^z <= z^n (1+z)^(1-b)), so V(4) bounds it below; the
+    # negative terms, largest at z = 4, bound what cancels, so the sum of
+    # |terms| is at most kappa V.  Horner's rule over the signed terms is
+    # within (2n + 2) u of that sum, the coefficients (q within u, the log
+    # term within 3u) and y^d (d <= n, y within 4u) add (4n + 3) u.  log V is
+    # at most |log V(4)| + 7.3 in size and (a-1) log1p(1/z) at most 0.23 (a-1),
+    # each within 5u; the product b log z and the two sums add 3 b log z u.
+    v4 = 0.8 ** (n + 1) * float(_pfaff_sum(pfaff, np.array([0.8]))[0]) / (n + 1)
+    negative = sum(-float(c) * 0.2**d for d, c in enumerate(q) if c < 0)
+    if log_coeff < 0:  # then a >= 2, and log(1+z) y^(a-1) falls from z = 4 on
+        negative += -log_coeff * math.log(5.0) * 0.2 ** (a - 1)
+    kappa = (1.0 + 2.0 * negative / v4) * 1.001
+    eps_large = (6 * n + 5) * kappa + 3.0 * abs(math.log(v4)) + 2.0 * a + 24.0
+    poly = np.array([float(c) for c in q])
+    return _JTable(pfaff, poly, float(log_coeff), eps_small, eps_large)
+
+
+def _pfaff_sum(coeffs: tuple, w: np.ndarray) -> np.ndarray:
+    """sum_{n < N} coeffs[n] w^n elementwise by Horner's rule, for coeffs
+    falling from 1 and 0 <= w <= 4/5, with N the least count whose tail
+    bound coeffs[N] w^N / (1 - w) is within _J_TAIL at the largest w."""
+    wmax = float(w.max())
+    bound = _J_TAIL * (1.0 - wmax)
+    terms, power = 1, wmax
+    while coeffs[terms] * power > bound:
+        terms, power = terms + 1, power * wmax
+    s = np.full(w.shape, coeffs[terms - 1])
+    for d in range(terms - 2, -1, -1):
+        s *= w
+        s += coeffs[d]
+    return s
+
+
+def _j_error(a: int, b: int, z_max: Fraction) -> float:
+    """log_j's bound delta_J over 0 < z <= z_max, as a relative error of J
+    (the 1 allows for rounding in log z_max)."""
+    table = _j_table(a, b)
+    if z_max <= 4:
+        return table.eps_small * _U
+    lz = math.log(z_max.numerator) - math.log(z_max.denominator)
+    return max(table.eps_small, table.eps_large + 3.0 * b * lz + 1.0) * _U
+
+
+def log_j(a: int, b: int, lz: np.ndarray) -> np.ndarray:
+    """log J(a, b; z) at log z = lz, elementwise, for integers a, b >= 1.
+
+    J(a, b; z) = int_1^oo v^(-a) (v + z)^(-b) dv.  Up to z = 4 it is the
+    Pfaff form (1+z)^(-b) sum_n P_n w^n / (a+b-1), P_n = (b)_n/(a+b)_n and
+    w = z/(1+z) <= 4/5, whose terms are positive and falling; the sum stops
+    at the first term N whose tail bound P_N w^N / (1 - w) is within 2^-56
+    at the largest w.  Above 4 it is z^(1-a-b) (1+z)^(a-1) V, where
+    V = (1+z)^(1-a) int_0^z u^(a+b-2) (1+u)^(-b) du in exact partial
+    fractions is a polynomial in y = 1/(1+z) plus a multiple of
+    log(1+z) y^(a-1), evaluated by Horner's rule.  The result is within
+    delta_J = (eps + 3 b max(0, log z)) 2^-53 of the exact log J at the given
+    lz, with eps = eps_small up to z = 4 and eps_large above (_j_table,
+    which derives both); eps_large carries the cancellation of the partial
+    fractions, which is largest at z = 4.
+    """
+    table = _j_table(a, b)
+    small = lz <= _J_SPLIT
+    if small.all():
+        return _log_j_pfaff(table, a, b, lz)
+    if not small.any():
+        return _log_j_large(table, a, b, lz)
+    out = np.empty(lz.shape)
+    out[small] = _log_j_pfaff(table, a, b, lz[small])
+    out[~small] = _log_j_large(table, a, b, lz[~small])
+    return out
+
+
+def _log_j_pfaff(table: _JTable, a: int, b: int, lz: np.ndarray) -> np.ndarray:
+    z = np.exp(lz)
+    s = _pfaff_sum(table.pfaff, z / (1.0 + z))
+    return np.log(s) - b * np.log1p(z) - math.log(a + b - 1)
+
+
+def _log_j_large(table: _JTable, a: int, b: int, lz: np.ndarray) -> np.ndarray:
+    t = np.exp(-lz)  # 1/z <= 1/4
+    y = t / (1.0 + t)
+    l1 = np.log1p(t)
+    log_term = table.log_coeff * (lz + l1)
+    v = np.zeros(lz.shape)
+    for d in range(table.poly.size - 1, -1, -1):
+        v *= y
+        v += table.poly[d]
+        if d == a - 1:
+            v += log_term
+    return np.log(v) + (a - 1) * l1 - b * lz
+
+
 def _semi_infinite_form(t: ShiftedCMZV) -> _Form:
-    """The depth-r tail integral as a _Form over r - 1 exp-sinh dimensions.
+    """The depth-r tail integral, r >= 3, as a _Form over r - 2 exp-sinh
+    dimensions.
 
     Level j integrates x_j from the state (log c, log W): c = x_1 + ... +
     x_{j-1} + m_j is the least value of u = x_1 + ... + x_j, and W the
@@ -366,27 +512,31 @@ def _semi_infinite_form(t: ShiftedCMZV) -> _Form:
     c' = u + m_{j+1} = c rho (rho + E): x_j spans the scales c and
     c + m_{j+1} symmetrically in log E.  The level's weight is
     u^(-k_j) dx_j/ds = c^(1-k_j) (1 + rho E)^(-k_j) rho E pi cosh s, and
-    every level but the last is formed in logarithms.
+    every level is formed in logarithms.
 
-    The last level and the leaf, the innermost integral (u + m_r)^(1-k_r) /
-    (k_r - 1) = c'^(1-k_r) / (k_r - 1), combine into one closed form.  With
-    x = rho E, a = 1/(1 + x), g = 1/(1 + 1/x) and b = 1/(1 + 1/(rho/E)),
-    the integrand is R pi cosh s g a^(k_{r-1}-1) b^(k_r-1), where the row
-    scale R = W c^(1-k_{r-1}) (c + m_r)^(1-k_r) / (k_r - 1) and rho take
-    two exps per row and the nodes none.  Where x, E or 1/E leaves the
-    float range, a factor in [0, 1] goes to its limit, off by at most
-    rho 2^-1074 + 2^-1022; bounds in [1e-300, 1e300] keep rho <= 1e300.
-    The integral of a row over the last variable is at least
-    R / (k_{r-1} + k_r - 2), so a row whose scale overflows raises
-    DomainError.
+    The last two integrals are one closed form in C = x_1 + ... + x_{r-2} +
+    m_{r-1}, the state c' of the last level:
+        C^(1-a-b) J(a, b; m_r / C) / (k_r - 1),  a = k_{r-1}, b = k_r - 1,
+    with log J from log_j.  The last level is the level of expand, whose
+    row factors (rho and the row's part of the logarithm) are formed once
+    per row of the block, then log_j and one exp per point, all in
+    logarithms, so no node leaves the float range on the way.  A point
+    whose value overflows makes the sum infinite, which _tensor reports as
+    DomainError.  The form's rounding allowance is _ROUND plus log_j's
+    bound over the z this form reaches, z <= m_r / (m_1 + ... + m_{r-1})
+    (_j_error).
     """
     k = t.exponents.parts
     lm = [math.log(b.numerator) - math.log(b.denominator) for b in t.bounds]
-    lead = 1.0 / (k[-1] - 1)
-    # int_c^oo v^(-k_{r-1}) v^(1-k_r) dv / (k_r - 1), dropping m_r: the bound
-    # on the last two integrals from the state before the last level.
-    bound_power = 2 - k[-2] - k[-1]
-    bound_scale = lead / (k[-2] + k[-1] - 2)
+    a, b = k[-2], k[-1] - 1
+    log_lead = -math.log(b)
+    # int over c <= u_1 <= u_2 <= u_3 of u_1^(-k_{r-2}) u_2^(-k_{r-1}) u_3^(-k_r),
+    # dropping m_{r-1} and m_r: the bound on the last three integrals from the
+    # state before the last level.
+    weight = sum(k[-3:])
+    bound_power = 3 - weight
+    bound_scale = 1.0 / (b * (a + b - 1) * (weight - 3))
+    z_max = t.bounds[-1] / sum(t.bounds[:-1])
 
     def log1pexp(x: np.ndarray) -> np.ndarray:  # log(1 + exp(x)) without overflow
         out = np.exp(-np.abs(x))
@@ -404,33 +554,18 @@ def _semi_infinite_form(t: ShiftedCMZV) -> _Form:
         return lc, lw
 
     def last(rows: tuple, node: tuple) -> np.ndarray:
-        lc, lw = rows
-        _, _, e, inv_e, pc = node
-        lrho = 0.5 * log1pexp(lm[-1] - lc)
-        lcm = lc + 2.0 * lrho  # log(c + m_r)
+        lc, lw = expand(len(k) - 3, rows, node)  # log C and the weight
+        lw += (1 - a - b) * lc + log_lead
+        lw += log_j(a, b, lm[-1] - lc)
         with np.errstate(over="ignore"):
-            scale = np.exp((lw + (1 - k[-2]) * lc) + (1 - k[-1]) * lcm) * lead
-        if not np.isfinite(scale).all():
-            raise DomainError("the value exceeds the float range of the numeric route")
-        rho = np.exp(lrho)
-        with np.errstate(over="ignore", divide="ignore"):
-            x = rho * e
-            a = 1.0 / (1.0 + x)
-            b = 1.0 / (1.0 + 1.0 / (rho * inv_e))
-            f = scale / (1.0 + 1.0 / x)  # R g
-            for _ in range(k[-1] - 1):
-                f *= b
-            for _ in range(k[-2] - 1):
-                f *= a
-            f *= pc
-        return f
+            return np.exp(lw, out=lw)
 
     def bound(state: tuple) -> np.ndarray:
         lc, lw = state
         with np.errstate(over="ignore"):
             return np.exp(lw + bound_power * lc) * bound_scale
 
-    return _Form((lm[0], 0.0), _exp_sinh_nodes, expand, last, bound)
+    return _Form((lm[0], 0.0), _exp_sinh_nodes, expand, last, bound, _ROUND + _j_error(a, b, z_max))
 
 
 def _unit_cube_form() -> _Form:
@@ -473,10 +608,11 @@ def eval_numeric(
 
     target is a ShiftedCMZV, or a composition or tuple of parts for unit
     bounds; compositions.admissible_target checks it, as reduce_to_basis
-    does (DivergenceError, CapacityError).  Depth 1 is returned exactly (m^(1-k)/(k-1)); deeper targets run the
-    tensor rule on the semi-infinite form described in the module
-    docstring, and need every lower bound in [1e-300, 1e300] (DomainError
-    otherwise).  Results are memoized per (bounds, exponents): a stored
+    does (DivergenceError, CapacityError).  Depth 1 is returned exactly
+    (m^(1-k)/(k-1)) and depth 2 by its closed form through log_j (_depth2);
+    deeper targets run the tensor rule on the semi-infinite form described
+    in the module docstring.  Depths >= 2 need every lower bound in
+    [1e-300, 1e300] (DomainError otherwise).  Results are memoized per (bounds, exponents): a stored
     result serves every tol at or above its error estimate if it converged,
     else at or above the tol it was computed at, and is converged when its
     estimate meets tol.
@@ -494,7 +630,36 @@ def eval_numeric(
         return NumericResult(value, 0.0, 0, True)
     if not all(_MIN_BOUND <= b <= _MAX_BOUND for b in t.bounds):
         raise DomainError("a lower bound lies outside [1e-300, 1e300], the range of the numeric route")
-    return _memoized((t.bounds, k), tol, _semi_infinite_form(t), t.depth - 1)
+    if t.depth == 2:
+        return _memoized((t.bounds, k), tol, functools.partial(_depth2, t))
+    return _memoized((t.bounds, k), tol, lambda tol: _tensor(_semi_infinite_form(t), t.depth - 2, tol))
+
+
+def _depth2(t: ShiftedCMZV, tol: float) -> NumericResult:
+    """zeta_m(k1, k2) = m_1^(2-k1-k2) J(k1, k2 - 1; m_2/m_1) / (k2 - 1), in
+    logarithms, as one evaluation.
+
+    The estimate bounds the rounding of every logarithm on the way (each
+    within 2^-53 of its size, a log of a bound within 2^-53 of the logs of
+    its numerator and denominator) and log_j's error at z = m_2/m_1.
+    """
+    (k1, k2), (m1, m2) = t.exponents.parts, t.bounds
+    a, b = k1, k2 - 1
+    logs = [(math.log(m.numerator), math.log(m.denominator)) for m in (m1, m2)]
+    lm1, lm2 = (n - d for n, d in logs)
+    size1, size2 = (abs(n) + abs(d) for n, d in logs)
+    lz = lm2 - lm1
+    lv = (1 - a - b) * lm1 + float(log_j(a, b, np.array([lz]))[0]) - math.log(b)
+    try:
+        value = math.exp(lv)
+    except OverflowError:
+        raise DomainError("the value exceeds the float range of the numeric route") from None
+    # absolute errors of lm1 and lz, then of lv, in units of 2^-53
+    d1 = 2.0 * size1
+    dz = d1 + 2.0 * size2 + abs(lz)
+    dv = _j_error(a, b, m2 / m1) / _U + b * dz + (a + b) * (d1 + abs(lm1)) + 2.0 * abs(lv) + 4.0
+    error = 2.0 * dv * _U * value
+    return NumericResult(value, error, 1, error <= tol)
 
 
 def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) -> NumericResult:
@@ -516,7 +681,7 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) ->
     if r == 2:  # no tensor level: the closed form int_0^1 dy / (1 + y)
         value = math.log1p(1.0)
         return NumericResult(value, _ROUND * value, 1, True)
-    return _memoized(("cube", r), tol, _unit_cube_form(), r - 2)
+    return _memoized(("cube", r), tol, lambda tol: _tensor(_unit_cube_form(), r - 2, tol))
 
 
 def integrate_semi_infinite(
@@ -533,10 +698,10 @@ def integrate_semi_infinite(
     that decays so slowly that the node range grows past s ~ 6.1, where E
     overflows, raises DomainError rather than counting those nodes as 0.
     """
-    return NumericResult(*_adaptive_unit(f, float(lower), _tolerance(tol, 1)))
+    return _adaptive_unit(f, float(lower), _tolerance(tol, 1))
 
 
-def _adaptive_unit(f: Callable[[np.ndarray], np.ndarray], lower: float, tol: float) -> tuple:
+def _adaptive_unit(f: Callable[[np.ndarray], np.ndarray], lower: float, tol: float) -> NumericResult:
     """The 1-D run of the tensor rule for integrate_semi_infinite.
 
     perfbench/worker.py traces this name as the 1-D rule layer
@@ -545,7 +710,7 @@ def _adaptive_unit(f: Callable[[np.ndarray], np.ndarray], lower: float, tol: flo
     """
 
     def last(rows: tuple, node: tuple) -> np.ndarray:
-        _, _, e, _, pc = node
+        _, _, e, pc = node
         if not np.isfinite(e).all():
             raise DomainError(
                 "the exp-sinh map overflowed before the tail was bounded; "

@@ -515,6 +515,33 @@ def test_bad_env_value_is_usage_error(monkeypatch, capsys):
     assert "CMZV_DEPTH_CAP" in capsys.readouterr().err
 
 
+def test_bad_env_value_breaks_only_commands_that_read_it(monkeypatch, capsys):
+    monkeypatch.setenv("CMZV_DEPTH_CAP", "many")
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    monkeypatch.delenv("CMZV_DEPTH_CAP")
+    monkeypatch.setenv("CMZV_SEED", "x")
+    assert main(["shuffle", "yx", "yx"]) == 0
+    assert main(["poles", "2", "2"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "shuffle", "--max-weight", "3"]) == 2
+    assert "CMZV_SEED" in capsys.readouterr().err
+    monkeypatch.setenv("CMZV_TOL", "abc")
+    assert main(["eval", "1,2", "--depth-cap", "3"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse environment variable CMZV_TOL='abc'\n"
+
+
+def test_every_subcommand_accepts_every_shared_flag(capsys):
+    shared = ["--tol", "1e-6", "--depth-cap", "6", "--step-budget", "100", "--seed", "1",
+              "--format", "json"]
+    assert main(["shuffle", "yx", "yx", *shared]) == 0
+    assert main(["poles", "2", "2", *shared]) == 0
+    assert main(["eval", "2", *shared]) == 0
+    # a given flag is checked even where the subcommand does not read it
+    assert main(["shuffle", "yx", "yx", "--depth-cap", "0"]) == 2
+
+
 def test_bad_tolerance_flag(capsys):
     assert main(["eval", "2", "--tol", "-1"]) == 2
     assert "tolerance" in capsys.readouterr().err
