@@ -26,10 +26,12 @@ double-exponentially in the step h.  Three integral forms feed it, each as a
     the scale, and bounds outside that range raise DomainError
     (`_semi_infinite_form`);
   * the unit-cube form of zeta(1, ..., 1, 2), whose integrand
-    1 / (1 + y_1 + y_1 y_2 + ...) lives on (0, 1)^(r-1).  The innermost y is
-    integrated in closed form and each other y maps by tanh-sinh,
-    y = 1 / (1 + exp(-pi sinh s)); the last level and the leaf share one
-    log1p per point (`_unit_cube_form`);
+    1 / (1 + y_1 + y_1 y_2 + ...) lives on (0, 1)^(r-1).  The last two y
+    are integrated in closed form, D(B/A) / B with
+    D(u) = Li2(-u) - Li2(-2u) (dilog_difference: Landen's identity and the
+    Bernoulli series of Li2, two log1p per point), and each of the other
+    r - 3 maps by tanh-sinh, y = 1 / (1 + exp(-pi sinh s)).  Depth 3 is
+    D(1) alone, counted as one evaluation (`_unit_cube_form`);
   * a caller's one-dimensional integrand over [lower, oo), mapped by
     exp-sinh, x = lower + exp(pi sinh s) (`integrate_semi_infinite`).
 
@@ -52,18 +54,23 @@ of s (a geometric series; the true decay is faster); dropped sums the
 analytic bounds of the dropped prefixes (on the semi-infinite form, the
 integral of the last three variables over c <= u_1 <= u_2 <= u_3).  The
 rounding allowance is 1e-13, for rounding through logarithms of size up to
-about 700, plus, on the semi-infinite form, log_j's proven bound delta_J on
-the relative error of J over the z that the form reaches: every integrand
-value is positive, so a relative error of at most delta_J in each moves the
-value by at most delta_J |I|.  The same allowance sets the rounding stop
-below.  The rule stops at the first level whose estimate is <= tol.
+about 700, plus the proven relative error bound of the form's closed form:
+on the semi-infinite form log_j's delta_J over the z that the form reaches,
+on the unit cube dilog_difference's delta_D.  Every integrand value is
+positive, so a relative error of at most delta in each moves the value by
+at most delta |I|.  The same allowance sets the two rounding stops below.
+The rule stops at the first level whose estimate is <= tol.
 `evaluations` counts integrand points over all levels, first-level regrowth
 included.  A call that would pass _MAX_POINTS points, reaches the finest
-step, or finds its rounding allowance alone above tol returns
-converged=False with the estimate it has.  Results that miss their
-tolerance are flagged, never silently truncated; a sum that is not finite
-raises DomainError.  The two zeta forms and the depth-2 closed form share
-one memo: a stored result serves every tolerance at or above its error
+step, finds its rounding allowance alone above tol, or finds tol below
+rounding (|I_h| - rule), rule = |I_h - I_2h| + tails + dropped, at a level
+whose rule did not fall returns converged=False with the estimate it has:
+every estimate includes rounding |I|, so once |I| >= |I_h| - rule no level
+can meet such a tol, and a rule that did not fall gives no sign that the
+next level, at 2^dims times the points, would narrow the estimate.  Results
+that miss their tolerance are flagged, never silently truncated; a sum that
+is not finite raises DomainError.  The two zeta forms and their closed forms
+share one memo: a stored result serves every tolerance at or above its error
 estimate if it converged, else every tolerance at or above the one it was
 computed at, and a served result is converged when its estimate meets the
 request.  A tolerance is a finite positive number
@@ -225,6 +232,7 @@ def _tensor(form: _Form, dims: int, tol: float) -> NumericResult:
     share = tol / (16 * dims)  # per end of each dimension; all ends: tol/8
     evaluations = 0
     prev = value = error = 0.0
+    prev_rule = math.inf
     converged = False
     for level in range(1, _MAX_LEVEL + 1):
         h = 0.5**level
@@ -265,6 +273,9 @@ def _tensor(form: _Form, dims: int, tol: float) -> NumericResult:
                 break
             if rule <= form.rounding * abs(total):
                 break  # rounding alone misses tol; a finer step cannot help
+            if tol < form.rounding * (abs(total) - rule) and rule >= prev_rule:
+                break  # no level can meet tol, and this one did not narrow the rule
+            prev_rule = rule
         prev = total
     return NumericResult(value, error, evaluations, converged)
 
@@ -390,7 +401,7 @@ class _JTable:
 def _j_table(a: int, b: int) -> _JTable:
     n = a + b - 2
     steps = np.arange(_J_TERMS)
-    pfaff = tuple(np.cumprod(np.concatenate(([1.0], (b + steps) / (a + b + steps)))))
+    pfaff = tuple(np.cumprod(np.concatenate(([1.0], (b + steps) / (a + b + steps)))).tolist())
     # u^n (1+u)^(-b) = sum_j C(n,j) (-1)^(n-j) (1+u)^(j-b); integrated over
     # [0, z] and scaled by (1+z)^(1-a), each term with e = j-b+1 != 0 gives
     # (y^(a-1-e) - y^(a-1)) / e and the term with e = 0 gives log(1+z) y^(a-1).
@@ -417,7 +428,11 @@ def _j_table(a: int, b: int) -> _JTable:
     # term within 3u) and y^d (d <= n, y within 4u) add (4n + 3) u.  log V is
     # at most |log V(4)| + 7.3 in size and (a-1) log1p(1/z) at most 0.23 (a-1),
     # each within 5u; the product b log z and the two sums add 3 b log z u.
-    v4 = 0.8 ** (n + 1) * float(_pfaff_sum(pfaff, np.array([0.8]))[0]) / (n + 1)
+    terms = _pfaff_terms(pfaff, 0.8)
+    s4 = pfaff[terms - 1]  # _pfaff_sum at w = 0.8, as scalars: the same operations
+    for d in range(terms - 2, -1, -1):
+        s4 = s4 * 0.8 + pfaff[d]
+    v4 = 0.8 ** (n + 1) * s4 / (n + 1)
     negative = sum(-float(c) * 0.2**d for d, c in enumerate(q) if c < 0)
     if log_coeff < 0:  # then a >= 2, and log(1+z) y^(a-1) falls from z = 4 on
         negative += -log_coeff * math.log(5.0) * 0.2 ** (a - 1)
@@ -427,15 +442,20 @@ def _j_table(a: int, b: int) -> _JTable:
     return _JTable(pfaff, poly, float(log_coeff), eps_small, eps_large)
 
 
-def _pfaff_sum(coeffs: tuple, w: np.ndarray) -> np.ndarray:
-    """sum_{n < N} coeffs[n] w^n elementwise by Horner's rule, for coeffs
-    falling from 1 and 0 <= w <= 4/5, with N the least count whose tail
-    bound coeffs[N] w^N / (1 - w) is within _J_TAIL at the largest w."""
-    wmax = float(w.max())
+def _pfaff_terms(coeffs: tuple, wmax: float) -> int:
+    """The least count N whose tail bound coeffs[N] w^N / (1 - w) is within
+    _J_TAIL at w = wmax, for coeffs falling from 1 and 0 <= wmax <= 4/5."""
     bound = _J_TAIL * (1.0 - wmax)
     terms, power = 1, wmax
     while coeffs[terms] * power > bound:
         terms, power = terms + 1, power * wmax
+    return terms
+
+
+def _pfaff_sum(coeffs: tuple, w: np.ndarray) -> np.ndarray:
+    """sum_{n < N} coeffs[n] w^n elementwise by Horner's rule, with N from
+    _pfaff_terms at the largest w."""
+    terms = _pfaff_terms(coeffs, float(w.max()))
     s = np.full(w.shape, coeffs[terms - 1])
     for d in range(terms - 2, -1, -1):
         s *= w
@@ -568,6 +588,67 @@ def _semi_infinite_form(t: ShiftedCMZV) -> _Form:
     return _Form((lm[0], 0.0), _exp_sinh_nodes, expand, last, bound, _ROUND + _j_error(a, b, z_max))
 
 
+# D(u) = Li2(-u) - Li2(-2u), 0 <= u <= 1 (dilog_difference).
+_D_TERMS = 10  # Bernoulli terms B_2 .. B_20 of G; the rest is below 0.04 * 2^-53 of G
+_D_ERROR = 40.0 * _U  # delta_D, the relative error bound of dilog_difference
+
+
+@functools.cache
+def _d_coeffs() -> tuple[float, ...]:
+    """B_2k / (2k+1)! for k = 1 .. _D_TERMS, from exact Bernoulli numbers."""
+    bern = [Fraction(1)]
+    for m in range(1, 2 * _D_TERMS + 1):
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    return tuple(float(bern[2 * k] / math.factorial(2 * k + 1)) for k in range(1, _D_TERMS + 1))
+
+
+def _dilog_g(lg: np.ndarray) -> np.ndarray:
+    """G(L) = -Li2(1 - e^L) = L + L^2/4 + sum_k B_2k L^(2k+1)/(2k+1)!, k <= _D_TERMS,
+    elementwise by Horner's rule in x = L^2."""
+    coeffs = _d_coeffs()
+    x = lg * lg
+    p = x * coeffs[-1]
+    for c in coeffs[-2::-1]:
+        p += c
+        p *= x
+    p += 0.25 * lg
+    p += 1.0
+    p *= lg
+    return p
+
+
+def dilog_difference(u: np.ndarray) -> np.ndarray:
+    """D(u) = Li2(-u) - Li2(-2u) elementwise, for 0 <= u <= 1.
+
+    Landen's identity, Li2(-v) = -Li2(v/(1+v)) - log^2(1+v)/2, and the
+    Bernoulli series of Li2(1 - e^-L) in L = log(1+v) give -Li2(-v) = G(L)
+    with G(L) = L + L^2/4 + sum_{k>=1} B_2k L^(2k+1)/(2k+1)!, so
+    D(u) = G(L_2) - G(L_1), L_1 = log1p(u) <= log 2, L_2 = log1p(2u) <= log 3.
+    D(1) = -pi^2/12 - Li2(-2).
+
+    The result is within delta_D = 40 eps, eps = 2^-53, of D at the given
+    u, relative, taking each log1p within one ulp (2 eps):
+      * truncation: |B_2k| <= 4 (2k)!/(2 pi)^2k, so with q = (L/(2 pi))^2
+        <= 0.0306 the terms past k = 10 sum to at most
+        4 L q^11 / (23 (1 - q)) < 0.04 eps L, and G >= L;
+      * evaluation at the computed L: the x Q(x) part (|x Q| <= 0.034; its
+        coefficients, x and 19 Horner steps each within eps of terms whose
+        sizes sum to at most 0.034) is within 0.8 eps, 0.25 L is exact, and
+        the two sums and the product add 0.31 eps, 1.31 eps and eps of G,
+        since G >= L and the sum is >= 1: within 3.5 eps of G;
+      * the input: G'(L) = L / (1 - e^-L) <= 1.65 and G >= L, so an error of
+        2 eps L in L moves G by at most 3.3 eps of G;
+      * the difference: G(L)/L rises, so G_1/G_2 <= L_1/L_2 <= log 2/log 3
+        = 0.631 (L_1/L_2 rises from 1/2 at u = 0), hence G_1 + G_2 <= 4.42 D;
+        each G within 6.9 eps puts D within 6.9 * 4.42 + 1 < 32 eps of D,
+        and 40 covers the second-order terms.
+    Below u = 2^-60 every step is exact but the last rounding: both log1p
+    return their argument, G rounds to L and D to 2u - u = u, within u of
+    the exact D; so the bound holds in the subnormal range too.
+    """
+    return _dilog_g(np.log1p(2.0 * u)) - _dilog_g(np.log1p(u))
+
+
 def _unit_cube_form() -> _Form:
     """The all-ones unit-cube integrand as a _Form over tanh-sinh dimensions.
 
@@ -575,9 +656,14 @@ def _unit_cube_form() -> _Form:
     recursion A' = A + B y, B' = B y from A = B = 1, with the weight W
     multiplied by dy/ds = pi cosh s y (1 - y).  The state carries
     (A, B, W/B), whose last entry is multiplied by pi cosh s (1 - y).  The
-    last level and the leaf, int_0^1 dy / (A + B y) = log1p(B/A) / B, give
-    the integrand (W/B) pi cosh s (1 - y) log1p(B y / (A + B y)), with one
-    log1p per point.  Every integrand value is at most W / A.
+    last two cube variables are one closed form,
+        int_0^1 int_0^1 dy dy' / (A + B y + B y y') = D(B/A) / B,
+    D(u) = Li2(-u) - Li2(-2u) (dilog_difference), so the last level is one
+    level of expand and then (W'/B') D(B'/A'), with two log1p per point.
+    Every integrand value is at most W / A, which bounds the integral over
+    the remaining variables.  The form's rounding allowance is _ROUND plus
+    D's bound delta_D; every value of D is positive, so a relative error of
+    at most delta_D in each moves the value by at most delta_D |I|.
     """
 
     def expand(j: int, state: tuple, node: tuple) -> tuple:
@@ -587,16 +673,14 @@ def _unit_cube_form() -> _Form:
         return a + by, by, r * q
 
     def last(rows: tuple, node: tuple) -> np.ndarray:
-        a, b, r = rows
-        y, q = node
-        by = b * y
-        return np.log1p(by / (a + by)) * q * r
+        a, b, r = expand(0, rows, node)
+        return dilog_difference(b / a) * r
 
     def bound(state: tuple) -> np.ndarray:
         a, b, r = state
         return r * b / a
 
-    return _Form((1.0, 1.0, 1.0), _tanh_sinh_nodes, expand, last, bound)
+    return _Form((1.0, 1.0, 1.0), _tanh_sinh_nodes, expand, last, bound, _ROUND + _D_ERROR)
 
 
 def eval_numeric(
@@ -669,9 +753,11 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) ->
             = int_{[0,1]^{r-1}} dy / (1 + y_1 + y_1 y_2 + ... + y_1...y_{r-1}).
 
     An independent route from eval_numeric: bounded domain, no
-    compactification, different integrand shape.  Depth 2 has no tensor
-    level and is the closed form log 2; deeper values share eval_numeric's
-    memo.  The depth cap is checked on that target, by
+    compactification, different integrand shape.  Depth 2 is the closed
+    form log 2 and depth 3 the closed form D(1) = -pi^2/12 - Li2(-2) of the
+    last two variables, one evaluation each; deeper values run the tensor
+    rule on r - 3 tanh-sinh dimensions (_unit_cube_form).  Depths >= 3 share
+    eval_numeric's memo.  The depth cap is checked on that target, by
     compositions.admissible_target, as eval_numeric does.
     """
     if not (isinstance(r, int) and r >= 2):
@@ -681,7 +767,17 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) ->
     if r == 2:  # no tensor level: the closed form int_0^1 dy / (1 + y)
         value = math.log1p(1.0)
         return NumericResult(value, _ROUND * value, 1, True)
-    return _memoized(("cube", r), tol, lambda tol: _tensor(_unit_cube_form(), r - 2, tol))
+    if r == 3:
+        return _memoized(("cube", 3), tol, _cube_depth3)
+    return _memoized(("cube", r), tol, lambda tol: _tensor(_unit_cube_form(), r - 3, tol))
+
+
+def _cube_depth3(tol: float) -> NumericResult:
+    """zeta(1, 1, 2) = D(1) / 1 from A = B = 1, as one evaluation, within the
+    cube form's rounding allowance."""
+    value = float(dilog_difference(np.array(1.0)))
+    error = (_ROUND + _D_ERROR) * value
+    return NumericResult(value, error, 1, error <= tol)
 
 
 def integrate_semi_infinite(

@@ -78,9 +78,10 @@ class GenTerm:
     conversion to Fraction and int is skipped for values already of that
     type, and the suffix sums come from one pass over per-index totals.
     Equal bounds and factors make equal terms with equal hashes, so a term
-    is its own key in the reduction's term memo.  GenTerm.of builds the
-    term of a target; the target's own checks (bound count, admissibility,
-    depth cap) live with ShiftedCMZV in compositions.
+    is its own key in the reduction's term memo; the hash of the fields is
+    computed once, in __init__, and equality compares the fields.
+    GenTerm.of builds the term of a target; the target's own checks (bound
+    count, admissibility, depth cap) live with ShiftedCMZV in compositions.
     """
 
     bounds: tuple[Fraction, ...]
@@ -124,6 +125,10 @@ class GenTerm:
             suffix -= total
         object.__setattr__(self, "bounds", bt)
         object.__setattr__(self, "factors", ft)
+        object.__setattr__(self, "_hash", hash((bt, ft)))
+
+    def __hash__(self) -> int:  # the fields' hash, computed once per term
+        return self._hash
 
     @classmethod
     def of(cls, target: ShiftedCMZV | Composition | Sequence[int]) -> "GenTerm":

@@ -80,6 +80,19 @@ def test_genterm_is_its_own_key():
     assert a != GenTerm((1, 2), [(1, 0, 1), (2, F(1, 2), 2), (2, 0, 1)])
 
 
+def test_genterm_hash_is_the_fields_hash_on_every_path():
+    # one term from a target, a rewrite, a shift absorption and by hand
+    (_, boundary), (_, deriv) = ibp_step(GenTerm.of(Composition((2, 2))))
+    built = [
+        (GenTerm.of(ShiftedCMZV((2,), Composition((2,)))), boundary, absorb_shifts(GenTerm((1,), [(1, 1, 2)]))),
+        (GenTerm.of(Composition((1, 3))), deriv, GenTerm([1, F(2, 2)], [[2, F(0), 3], (1.0, 0, 1)])),
+    ]
+    for terms in built:
+        assert len(set(terms)) == 1
+        assert len({hash(t) for t in terms}) == 1
+        assert all(hash(t) == hash((t.bounds, t.factors)) for t in terms)
+
+
 def test_genterm_pure_exponents_none_for_shifted_or_multi():
     shifted = GenTerm((1,), [(1, 1, 2)])
     assert shifted.pure_exponents() is None
