@@ -6,7 +6,10 @@ variables s of a double-exponential substitution (Takahasi & Mori 1974;
 Bailey, Jeyabalan & Li 2005).  The integrands are analytic inside their
 domains and singular only at the ends, so the rule converges
 double-exponentially in the step h.  Three integral forms feed it, each as a
-`_Form`:
+`_Form`: a state, one level step per mapped variable (expand), and the leaf,
+the closed form of the integrals that remain after the last level.  A form
+with no level left is its leaf at the initial state, one evaluation:
+`_tensor` over zero dimensions.
 
   * the semi-infinite form of a target, compositions.ShiftedCMZV (eval_numeric
     takes it checked by compositions.admissible_target).  The depth-r
@@ -17,34 +20,35 @@ double-exponentially in the step h.  Three integral forms feed it, each as a
         C^(1-a-b) J(a, b; m_r / C) / (k_r - 1),
         J(a, b; z) = int_1^oo v^(-a) (v + z)^(-b) dv,
     one function of one ratio, taken in logarithms by log_j (the Pfaff
-    series up to z = 4, exact partial fractions above).  Depth 2 is that
-    closed form alone, counted as one evaluation.  Each of the other r - 2
-    half-lines maps by exp-sinh, x_j = m_j + sigma exp(pi sinh s), with the
-    Jacobian taken from the same exponential, so nothing is computed as
-    1 - t.  The scale sigma follows the state, and every level is formed in
-    logarithms.  Lower bounds from 1e-300 to 1e300 neither overflow nor lose
-    the scale, and bounds outside that range raise DomainError
-    (`_semi_infinite_form`);
+    series up to z = 4, exact partial fractions above): the form's leaf.
+    Depth 2 is that closed form alone, counted as one evaluation (_depth2,
+    with its own proven estimate).  Each of the other r - 2 half-lines maps
+    by exp-sinh, x_j = m_j + sigma exp(pi sinh s), with the Jacobian taken
+    from the same exponential, so nothing is computed as 1 - t.  The scale
+    sigma follows the state, and every level is formed in logarithms.
+    Lower bounds from 1e-300 to 1e300 neither overflow nor lose the scale,
+    and bounds outside that range raise DomainError (`_semi_infinite_form`);
   * the unit-cube form of zeta(1, ..., 1, 2), whose integrand
     1 / (1 + y_1 + y_1 y_2 + ...) lives on (0, 1)^(r-1).  The last two y
     are integrated in closed form, D(B/A) / B with
     D(u) = Li2(-u) - Li2(-2u) (dilog_difference: Landen's identity and the
     Bernoulli series of Li2, two log1p per point), and each of the other
     r - 3 maps by tanh-sinh, y = 1 / (1 + exp(-pi sinh s)).  Depth 3 is
-    D(1) alone, counted as one evaluation (`_unit_cube_form`);
+    the zero-level run, D(1) alone (`_unit_cube_form`);
   * a caller's one-dimensional integrand over [lower, oo), mapped by
-    exp-sinh, x = lower + exp(pi sinh s) (`integrate_semi_infinite`).
+    exp-sinh, x = lower + exp(pi sinh s), whose leaf applies the integrand
+    (`integrate_semi_infinite`).
 
 The rule.  h halves from 1/2 down to 2^-11.  A level sums the integrand over
 the grid s = n h inside per-dimension node ranges.  It walks the outer
 dimensions in chunks of node prefixes and contracts the last one in blocks,
-so no temporary array exceeds 2^15 elements; a prefix whose weight times an
-analytic bound on the rest of the integral is below tol / (8 * prefixes) is
-dropped and its bound counted.  Each range starts at |s| <= 3, grows by half
-a unit (up to |s| <= 7) while an end's tail exceeds tol / (16 * dims), and
-sheds end nodes that lie far below it.  Each map's node arrays at a step
-are computed once per process, over |s| <= 7 on first use, and every sweep
-at that step slices them.
+the leaf of the last level per block, so no temporary array exceeds 2^15
+elements; a prefix whose weight times an analytic bound on the rest of the
+integral is below tol / (8 * prefixes) is dropped and its bound counted.
+Each range starts at |s| <= 3, grows by half a unit (up to |s| <= 7) while
+an end's tail exceeds tol / (16 * dims), and sheds end nodes that lie far
+below it.  Each map's node arrays at a step are computed once per process,
+over |s| <= 7 on first use, and every sweep at that step slices them.
 
 The error estimate of the value I_h is
     |I_h - I_2h| + tails + dropped + rounding |I_h|:
@@ -69,18 +73,23 @@ every estimate includes rounding |I|, so once |I| >= |I_h| - rule no level
 can meet such a tol, and a rule that did not fall gives no sign that the
 next level, at 2^dims times the points, would narrow the estimate.  Results
 that miss their tolerance are flagged, never silently truncated; a sum that
-is not finite raises DomainError.  The two zeta forms and their closed forms
-share one memo: a stored result serves every tolerance at or above its error
-estimate if it converged, else every tolerance at or above the one it was
-computed at, and a served result is converged when its estimate meets the
-request.  A tolerance is a finite positive number
-(check_tolerance).
+is not finite raises DomainError.  A zero-level run's estimate is its
+rounding allowance alone, rounding |value|.  The values of eval_numeric at
+depth >= 2, the tensor rule's and _depth2's, leave through one float-range
+check (_in_float_range): a value above the float range, or below its least
+normal number (an exp that underflowed), raises DomainError rather than
+pass as exact.  The two zeta forms and their closed forms share one memo: a
+stored result serves every tolerance at or above its error estimate if it
+converged, else every tolerance at or above the one it was computed at, and
+a served result is converged when its estimate meets the request.  A
+tolerance is a finite positive number (check_tolerance).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -125,19 +134,21 @@ class _Form:
     state holds the values before the first level.  nodes(level) is the
     table of per-node arrays of the form's map at step h = 2^-level, over
     the nodes s = n h with |n| <= _S_CAP / h; expand(j, state, nodes) is the
-    state after level j < dims - 1 at the given nodes, elementwise;
-    last(rows, nodes) integrates the last level and the closed-form leaf
-    together, returning the integrand, Jacobians included, on the block of
-    rows (each state array shaped (rows, 1)) times nodes.  bound(state),
-    before the last level, bounds the accumulated weight times the integral
-    over the remaining variables.  rounding is the relative rounding
-    allowance of a value of the form.
+    state after level j at the given nodes, elementwise and broadcasting (the
+    last level gets a block of rows, each state array shaped (rows, 1),
+    against the row of nodes); leaf(state) is the closed form of the
+    integrals that remain after the last level, the accumulated weight
+    included, elementwise: the integrand of the rule.  With no level, the
+    value is leaf(state) itself.  bound(state), before the last level,
+    bounds the accumulated weight times the integral over the remaining
+    variables.  rounding is the relative rounding allowance of a value of
+    the form.
     """
 
     state: tuple
     nodes: Callable
     expand: Callable
-    last: Callable
+    leaf: Callable
     bound: Callable
     rounding: float = _ROUND
 
@@ -149,9 +160,9 @@ def _sweep(form: _Form, dims: int, level: int, lo: np.ndarray, hi: np.ndarray, d
     The outer dims - 1 dimensions are walked in chunks of flattened node
     prefixes; a prefix whose bound is below drop_tol / (number of prefixes)
     is dropped and its bound kept.  The last dimension is contracted in
-    blocks of at most _CHUNK points.  Returns (sum, the marginal sums of each
-    dimension at each of its nodes, dropped bound, points evaluated), the
-    sums scaled by h^dims.
+    blocks of at most _CHUNK points, each the leaf of the last level of
+    expand.  Returns (sum, the marginal sums of each dimension at each of its
+    nodes, dropped bound, points evaluated), the sums scaled by h^dims.
     """
     h = 0.5**level
     table = form.nodes(level)
@@ -178,7 +189,7 @@ def _sweep(form: _Form, dims: int, level: int, lo: np.ndarray, hi: np.ndarray, d
             state = tuple(a[keep] for a in state)
             idx = tuple(i[keep] for i in idx)
         for p in range(0, state[0].size, block):
-            f = form.last(tuple(a[p : p + block, None] for a in state), tables[-1])
+            f = form.leaf(form.expand(dims - 1, tuple(a[p : p + block, None] for a in state), tables[-1]))
             points += f.size
             rows = f.sum(axis=1)
             total += float(rows.sum())
@@ -225,8 +236,13 @@ def _end(m: list, h: float, share: float, room: int) -> tuple[float | None, int]
 
 
 def _tensor(form: _Form, dims: int, tol: float) -> NumericResult:
-    """The integral of form over R^dims, dims >= 1, by the tensor
-    double-exponential rule."""
+    """The integral of form over R^dims by the tensor double-exponential
+    rule; over R^0 it is the closed form alone, one evaluation of
+    leaf(state) within the form's rounding allowance."""
+    if dims == 0:
+        value = float(form.leaf(tuple(np.full(1, v) for v in form.state))[0])
+        error = form.rounding * abs(value)
+        return NumericResult(value, error, 1, error <= tol)
     lo = np.full(dims, -round(2 * _S_START))  # node indices at h = 1/2
     hi = -lo
     share = tol / (16 * dims)  # per end of each dimension; all ends: tol/8
@@ -537,9 +553,9 @@ def _semi_infinite_form(t: ShiftedCMZV) -> _Form:
     The last two integrals are one closed form in C = x_1 + ... + x_{r-2} +
     m_{r-1}, the state c' of the last level:
         C^(1-a-b) J(a, b; m_r / C) / (k_r - 1),  a = k_{r-1}, b = k_r - 1,
-    with log J from log_j.  The last level is the level of expand, whose
-    row factors (rho and the row's part of the logarithm) are formed once
-    per row of the block, then log_j and one exp per point, all in
+    with log J from log_j: the leaf.  On the last level, expand forms the row
+    factors (rho and the row's part of the logarithm) once per row of the
+    block, and the leaf takes log_j and one exp per point, all in
     logarithms, so no node leaves the float range on the way.  A point
     whose value overflows makes the sum infinite, which _tensor reports as
     DomainError.  The form's rounding allowance is _ROUND plus log_j's
@@ -573,8 +589,8 @@ def _semi_infinite_form(t: ShiftedCMZV) -> _Form:
         lc = (lc + 2.0 * lrho) + log1pexp(ps - lrho)
         return lc, lw
 
-    def last(rows: tuple, node: tuple) -> np.ndarray:
-        lc, lw = expand(len(k) - 3, rows, node)  # log C and the weight
+    def leaf(state: tuple) -> np.ndarray:
+        lc, lw = state  # log C and the weight
         lw += (1 - a - b) * lc + log_lead
         lw += log_j(a, b, lm[-1] - lc)
         with np.errstate(over="ignore"):
@@ -585,7 +601,7 @@ def _semi_infinite_form(t: ShiftedCMZV) -> _Form:
         with np.errstate(over="ignore"):
             return np.exp(lw + bound_power * lc) * bound_scale
 
-    return _Form((lm[0], 0.0), _exp_sinh_nodes, expand, last, bound, _ROUND + _j_error(a, b, z_max))
+    return _Form((lm[0], 0.0), _exp_sinh_nodes, expand, leaf, bound, _ROUND + _j_error(a, b, z_max))
 
 
 # D(u) = Li2(-u) - Li2(-2u), 0 <= u <= 1 (dilog_difference).
@@ -658,8 +674,9 @@ def _unit_cube_form() -> _Form:
     (A, B, W/B), whose last entry is multiplied by pi cosh s (1 - y).  The
     last two cube variables are one closed form,
         int_0^1 int_0^1 dy dy' / (A + B y + B y y') = D(B/A) / B,
-    D(u) = Li2(-u) - Li2(-2u) (dilog_difference), so the last level is one
-    level of expand and then (W'/B') D(B'/A'), with two log1p per point.
+    D(u) = Li2(-u) - Li2(-2u) (dilog_difference), so the leaf is
+    (W/B) D(B/A), with two log1p per point, and depth 3 is the leaf at
+    A = B = W = 1, with no level.
     Every integrand value is at most W / A, which bounds the integral over
     the remaining variables.  The form's rounding allowance is _ROUND plus
     D's bound delta_D; every value of D is positive, so a relative error of
@@ -672,15 +689,15 @@ def _unit_cube_form() -> _Form:
         by = b * y
         return a + by, by, r * q
 
-    def last(rows: tuple, node: tuple) -> np.ndarray:
-        a, b, r = expand(0, rows, node)
+    def leaf(state: tuple) -> np.ndarray:
+        a, b, r = state
         return dilog_difference(b / a) * r
 
     def bound(state: tuple) -> np.ndarray:
         a, b, r = state
         return r * b / a
 
-    return _Form((1.0, 1.0, 1.0), _tanh_sinh_nodes, expand, last, bound, _ROUND + _D_ERROR)
+    return _Form((1.0, 1.0, 1.0), _tanh_sinh_nodes, expand, leaf, bound, _ROUND + _D_ERROR)
 
 
 def eval_numeric(
@@ -692,14 +709,16 @@ def eval_numeric(
 
     target is a ShiftedCMZV, or a composition or tuple of parts for unit
     bounds; compositions.admissible_target checks it, as reduce_to_basis
-    does (DivergenceError, CapacityError).  Depth 1 is returned exactly
-    (m^(1-k)/(k-1)) and depth 2 by its closed form through log_j (_depth2);
-    deeper targets run the tensor rule on the semi-infinite form described
-    in the module docstring.  Depths >= 2 need every lower bound in
-    [1e-300, 1e300] (DomainError otherwise).  Results are memoized per (bounds, exponents): a stored
-    result serves every tol at or above its error estimate if it converged,
-    else at or above the tol it was computed at, and is converged when its
-    estimate meets tol.
+    does (DivergenceError, CapacityError).  Depth 1 is m^(1-k)/(k-1)
+    rounded once, with estimate 0 if the float is exact and its ulp
+    otherwise (a subnormal value too); depth 2 is its closed form through
+    log_j (_depth2); deeper targets run the tensor rule on the semi-infinite
+    form described in the module docstring.  Depths >= 2 need every lower
+    bound in [1e-300, 1e300], and a value that is a finite normal float
+    (_in_float_range); DomainError otherwise.  Results are memoized per
+    (bounds, exponents): a stored result serves every tol at or above its
+    error estimate if it converged, else at or above the tol it was computed
+    at, and is converged when its estimate meets tol.
     """
     t = admissible_target(target, depth_cap)
     tol = _tolerance(tol, t.depth)
@@ -711,12 +730,30 @@ def eval_numeric(
             value = float(exact)
         except OverflowError:
             raise DomainError("the value exceeds the float range of the numeric route") from None
-        return NumericResult(value, 0.0, 0, True)
+        error = 0.0 if Fraction(value) == exact else math.ulp(value)
+        return NumericResult(value, error, 0, error <= tol)
     if not all(_MIN_BOUND <= b <= _MAX_BOUND for b in t.bounds):
         raise DomainError("a lower bound lies outside [1e-300, 1e300], the range of the numeric route")
-    if t.depth == 2:
-        return _memoized((t.bounds, k), tol, functools.partial(_depth2, t))
-    return _memoized((t.bounds, k), tol, lambda tol: _tensor(_semi_infinite_form(t), t.depth - 2, tol))
+
+    def run(tol: float) -> NumericResult:
+        result = _depth2(t, tol) if t.depth == 2 else _tensor(_semi_infinite_form(t), t.depth - 2, tol)
+        return _in_float_range(result)
+
+    return _memoized((t.bounds, k), tol, run)
+
+
+def _in_float_range(result: NumericResult) -> NumericResult:
+    """result if its value is a finite normal float; DomainError otherwise.
+
+    The numeric route forms its values at depth >= 2 in logarithms, and exp
+    leaves the float range silently: above it the value is infinite, below
+    it a subnormal or 0 whose lost digits no estimate counts.
+    """
+    if not abs(result.value) <= sys.float_info.max:
+        raise DomainError("the value exceeds the float range of the numeric route")
+    if abs(result.value) < sys.float_info.min:
+        raise DomainError("the value lies below the normal float range of the numeric route")
+    return result
 
 
 def _depth2(t: ShiftedCMZV, tol: float) -> NumericResult:
@@ -736,8 +773,8 @@ def _depth2(t: ShiftedCMZV, tol: float) -> NumericResult:
     lv = (1 - a - b) * lm1 + float(log_j(a, b, np.array([lz]))[0]) - math.log(b)
     try:
         value = math.exp(lv)
-    except OverflowError:
-        raise DomainError("the value exceeds the float range of the numeric route") from None
+    except OverflowError:  # _in_float_range reports it
+        value = math.inf
     # absolute errors of lm1 and lz, then of lv, in units of 2^-53
     d1 = 2.0 * size1
     dz = d1 + 2.0 * size2 + abs(lz)
@@ -754,9 +791,9 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) ->
 
     An independent route from eval_numeric: bounded domain, no
     compactification, different integrand shape.  Depth 2 is the closed
-    form log 2 and depth 3 the closed form D(1) = -pi^2/12 - Li2(-2) of the
-    last two variables, one evaluation each; deeper values run the tensor
-    rule on r - 3 tanh-sinh dimensions (_unit_cube_form).  Depths >= 3 share
+    form log 2, one evaluation; depth r >= 3 runs the tensor rule on r - 3
+    tanh-sinh dimensions (_unit_cube_form), so depth 3 is the zero-level run,
+    the closed form D(1) = -pi^2/12 - Li2(-2) alone.  Depths >= 3 share
     eval_numeric's memo.  The depth cap is checked on that target, by
     compositions.admissible_target, as eval_numeric does.
     """
@@ -767,17 +804,7 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) ->
     if r == 2:  # no tensor level: the closed form int_0^1 dy / (1 + y)
         value = math.log1p(1.0)
         return NumericResult(value, _ROUND * value, 1, True)
-    if r == 3:
-        return _memoized(("cube", 3), tol, _cube_depth3)
     return _memoized(("cube", r), tol, lambda tol: _tensor(_unit_cube_form(), r - 3, tol))
-
-
-def _cube_depth3(tol: float) -> NumericResult:
-    """zeta(1, 1, 2) = D(1) / 1 from A = B = 1, as one evaluation, within the
-    cube form's rounding allowance."""
-    value = float(dilog_difference(np.array(1.0)))
-    error = (_ROUND + _D_ERROR) * value
-    return NumericResult(value, error, 1, error <= tol)
 
 
 def integrate_semi_infinite(
@@ -798,26 +825,30 @@ def integrate_semi_infinite(
 
 
 def _adaptive_unit(f: Callable[[np.ndarray], np.ndarray], lower: float, tol: float) -> NumericResult:
-    """The 1-D run of the tensor rule for integrate_semi_infinite.
+    """The 1-D run of the tensor rule for integrate_semi_infinite: its
+    level maps x = lower + E with weight pi cosh s * E, and its leaf is f.
 
     perfbench/worker.py traces this name as the 1-D rule layer
     (quad.rule_calls, quad.rule_self_s), so the run keeps it until the
     benchmark traces the rule's level sweep instead.
     """
 
-    def last(rows: tuple, node: tuple) -> np.ndarray:
+    def expand(j: int, state: tuple, node: tuple) -> tuple:
         _, _, e, pc = node
         if not np.isfinite(e).all():
             raise DomainError(
                 "the exp-sinh map overflowed before the tail was bounded; "
                 "the integrand decays too slowly"
             )
-        x = rows[0] + e
+        return state[0] + e, pc * e
+
+    def leaf(state: tuple) -> np.ndarray:
+        x, w = state
         fx = f(x.ravel()).reshape(x.shape)
         with np.errstate(invalid="ignore"):
-            return fx * (pc * e)
+            return fx * w
 
-    form = _Form((lower,), _exp_sinh_nodes, None, last, None)  # expand, bound: unread at dims = 1
+    form = _Form((lower,), _exp_sinh_nodes, expand, leaf, None)  # bound: unread at dims = 1
     return _tensor(form, 1, tol)
 
 

@@ -102,6 +102,20 @@ def test_eval_value_beyond_float_range_is_usage_error(capsys):
     assert "float range" in capsys.readouterr().err
 
 
+def test_eval_value_below_float_range_is_usage_error(capsys):
+    # zeta_{1e300,1e300}(1,3) is about 1e-600: once 0, estimate 0 and exit 0
+    assert main(["eval", "1,3", "--bounds", "1e300,1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the value lies below the normal float range of the numeric route\n"
+
+
+# 1 is exact; 1/3 rounds, and its ulp 2^-54 misses the tolerance (exit 3)
+@pytest.mark.parametrize("parts, estimate, code", [("2", 0.0, 0), ("4", 2.0**-54, 3)])
+def test_eval_depth1_estimate_is_the_rounding_of_its_value(capsys, parts, estimate, code):
+    assert main(["eval", parts, "--tol", "1e-20", "--format", "json"]) == code
+    assert json.loads(capsys.readouterr().out)["error_estimate"] == estimate
+
+
 @pytest.mark.parametrize(
     "argv",
     [
