@@ -241,6 +241,12 @@ def admissible_compositions(weight: int) -> Iterator[Composition]:
 
 def compositions_of(total: int) -> Iterator[Composition]:
     """All 2^(total-1) compositions of a positive integer, lexicographic."""
+    return map(Composition, _parts_of(total))
+
+
+def _parts_of(total: int) -> Iterator[tuple[int, ...]]:
+    """The parts tuples of compositions_of(total), in its order, unchecked
+    and without building a Composition."""
     if total < 1:
         raise DomainError(f"need a positive total, got {total}")
 
@@ -253,5 +259,4 @@ def compositions_of(total: int) -> Iterator[Composition]:
             yield from rec(rest - first, acc)
             acc.pop()
 
-    for parts in rec(total, []):
-        yield Composition(parts)
+    yield from rec(total, [])

@@ -47,8 +47,12 @@ elements; a prefix whose weight times an analytic bound on the rest of the
 integral is below tol / (8 * prefixes) is dropped and its bound counted.
 Each range starts at |s| <= 3, grows by half a unit (up to |s| <= 7) while
 an end's tail exceeds tol / (16 * dims), and sheds end nodes that lie far
-below it.  Each map's node arrays at a step are computed once per process,
-over |s| <= 7 on first use, and every sweep at that step slices them.
+below it.  When level 2's starting grid is one block (over one or two
+dimensions), the first sweep is level 2 and level 1 is read off its even
+nodes, which are level 1's nodes; level 2 keeps the range that sweep
+covered, so a run that stops at level 2 sweeps once.  Each map's node
+arrays at a step are computed once per process, over |s| <= 7 on first
+use, and every sweep at that step slices them.
 
 The error estimate of the value I_h is
     |I_h - I_2h| + tails + dropped + rounding |I_h|:
@@ -63,9 +67,10 @@ on the semi-infinite form log_j's delta_J over the z that the form reaches,
 on the unit cube dilog_difference's delta_D.  Every integrand value is
 positive, so a relative error of at most delta in each moves the value by
 at most delta |I|.  The same allowance sets the two rounding stops below.
-The rule stops at the first level whose estimate is <= tol.
-`evaluations` counts integrand points over all levels, first-level regrowth
-included.  A call that would pass _MAX_POINTS points, reaches the finest
+The rule stops at the first level whose estimate is <= tol; level 1 never
+does, its sum serving as level 2's I_2h.  `evaluations` counts the integrand
+points of every sweep, regrowth included; a level read off another sweep
+adds none.  A call that would pass _MAX_POINTS points, reaches the finest
 step, finds its rounding allowance alone above tol, or finds tol below
 rounding (|I_h| - rule), rule = |I_h - I_2h| + tails + dropped, at a level
 whose rule did not fall returns converged=False with the estimate it has:
@@ -153,7 +158,9 @@ class _Form:
     rounding: float = _ROUND
 
 
-def _sweep(form: _Form, dims: int, level: int, lo: np.ndarray, hi: np.ndarray, drop_tol: float):
+def _sweep(
+    form: _Form, dims: int, level: int, lo: np.ndarray, hi: np.ndarray, drop_tol: float, coarse: bool = False
+):
     """One level of the tensor rule over the nodes s = n h, lo <= n <= hi,
     h = 2^-level.
 
@@ -162,7 +169,13 @@ def _sweep(form: _Form, dims: int, level: int, lo: np.ndarray, hi: np.ndarray, d
     is dropped and its bound kept.  The last dimension is contracted in
     blocks of at most _CHUNK points, each the leaf of the last level of
     expand.  Returns (sum, the marginal sums of each dimension at each of its
-    nodes, dropped bound, points evaluated), the sums scaled by h^dims.
+    nodes, dropped bound, points evaluated, coarse), the sums scaled by
+    h^dims.  coarse is None, or with coarse=True and lo, hi even, the level
+    of step 2h over lo/2 .. hi/2 read off this sweep's even nodes, which are
+    its nodes: (sum, marginals, the bound of the dropped prefixes whose nodes
+    are all even), each at the weight of step 2h.  Its prefixes are dropped
+    by this level's threshold, which keeps at most those a sweep at step 2h
+    would keep, and whatever it drops is in its dropped bound.
     """
     h = 0.5**level
     table = form.nodes(level)
@@ -176,28 +189,52 @@ def _sweep(form: _Form, dims: int, level: int, lo: np.ndarray, hi: np.ndarray, d
     total = dropped = 0.0
     points = 0
     block = max(1, _CHUNK // sizes[-1])
+    if coarse:  # the sums of the level of step 2h
+        c_marginals = [np.zeros((n + 1) // 2) for n in sizes]
+        c_total = c_dropped = 0.0
     for start in range(0, n_outer, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, n_outer))
         idx = np.unravel_index(flat, outer) if outer else ()
         state = tuple(np.full(flat.size, v) for v in form.state)
         for j, i in enumerate(idx):
             state = form.expand(j, state, tuple(col[i] for col in tables[j]))
+        if coarse:  # the prefixes whose nodes are all even, nodes of step 2h
+            even = np.ones(flat.size, dtype=bool)
+            for i in idx:
+                even &= i % 2 == 0
         if idx:
             bound = form.bound(state) * h ** (dims - 1)
             keep = bound >= threshold
             dropped += float(bound[~keep].sum())
+            if coarse:
+                c_dropped += float(bound[~keep & even].sum()) * 2.0 ** (dims - 1)
+                even = even[keep]
             state = tuple(a[keep] for a in state)
             idx = tuple(i[keep] for i in idx)
         for p in range(0, state[0].size, block):
             f = form.leaf(form.expand(dims - 1, tuple(a[p : p + block, None] for a in state), tables[-1]))
             points += f.size
-            rows = f.sum(axis=1)
-            total += float(rows.sum())
-            marginals[-1] += f.sum(axis=0)
-            for j, i in enumerate(idx):
-                marginals[j] += np.bincount(i[p : p + block], rows, minlength=sizes[j])
+            rows = slice(p, p + block)
+            total += _add(marginals, f, tuple(i[rows] for i in idx))
+            if coarse:
+                e = even[rows]
+                c_total += _add(c_marginals, f[e, ::2], tuple(i[rows][e] // 2 for i in idx))
     scale = h**dims
-    return total * scale, [m * scale for m in marginals], dropped, points
+    result = total * scale, [m * scale for m in marginals], dropped, points
+    if not coarse:
+        return *result, None
+    c_scale = (2 * h) ** dims
+    return *result, (c_total * c_scale, [m * c_scale for m in c_marginals], c_dropped)
+
+
+def _add(marginals: list, f: np.ndarray, idx: tuple) -> float:
+    """Adds a block f of the rule, its rows at the outer node indices idx,
+    to each dimension's marginal sums; returns the block's sum."""
+    rows = f.sum(axis=1)
+    marginals[-1] += f.sum(axis=0)
+    for m, i in zip(marginals, idx):
+        m += np.bincount(i, rows, minlength=m.size)
+    return float(rows.sum())
 
 
 def _end(m: list, h: float, share: float, room: int) -> tuple[float | None, int]:
@@ -238,13 +275,25 @@ def _end(m: list, h: float, share: float, room: int) -> tuple[float | None, int]
 def _tensor(form: _Form, dims: int, tol: float) -> NumericResult:
     """The integral of form over R^dims by the tensor double-exponential
     rule; over R^0 it is the closed form alone, one evaluation of
-    leaf(state) within the form's rounding allowance."""
+    leaf(state) within the form's rounding allowance.
+
+    When level 2's grid over the starting ranges, (4 round(2 _S_START) +
+    1)^dims points, fits one block (dims <= 2), the first sweep is level 2
+    over twice level 1's ranges, and level 1 is read off its even nodes
+    (_sweep with coarse=True).  Level 1's tails still grow its ranges, each
+    growth sweeping level 2 again, and its sum is level 2's I_2h; level 2
+    then takes the last of those sweeps as it stands, over the range it
+    covered, without level 1's shedding.  Every later level, and every level
+    over three or more dimensions, is a sweep of its own.
+    """
     if dims == 0:
         value = float(form.leaf(tuple(np.full(1, v) for v in form.state))[0])
         error = form.rounding * abs(value)
         return NumericResult(value, error, 1, error <= tol)
     lo = np.full(dims, -round(2 * _S_START))  # node indices at h = 1/2
     hi = -lo
+    paired = (4 * round(2 * _S_START) + 1) ** dims <= _CHUNK
+    fine = None  # the level-2 sweep that level 1 was read off, until level 2 takes it
     share = tol / (16 * dims)  # per end of each dimension; all ends: tol/8
     evaluations = 0
     prev = value = error = 0.0
@@ -255,11 +304,18 @@ def _tensor(form: _Form, dims: int, tol: float) -> NumericResult:
         cap = round(_S_CAP / h)
         if level > 1:
             lo, hi = 2 * lo, 2 * hi
-            if evaluations + points * 2**dims > _MAX_POINTS:
+            if not fine and evaluations + points * 2**dims > _MAX_POINTS:
                 break
         while True:
-            total, marginals, dropped, points = _sweep(form, dims, level, lo, hi, tol / 8)
-            evaluations += points
+            if level == 1 and paired:  # level 2, with level 1 read off its even nodes
+                *fine, coarse = _sweep(form, dims, 2, 2 * lo, 2 * hi, tol / 8, coarse=True)
+                total, marginals, dropped = coarse
+                evaluations += fine[3]
+            elif fine:
+                (total, marginals, dropped, points), fine = fine, None
+            else:
+                total, marginals, dropped, points, _ = _sweep(form, dims, level, lo, hi, tol / 8)
+                evaluations += points
             if not math.isfinite(total):
                 raise DomainError("the value exceeds the float range of the numeric route")
             tails = 0.0
@@ -277,7 +333,8 @@ def _tensor(form: _Form, dims: int, tol: float) -> NumericResult:
             if not grow.any():
                 break
             lo, hi = lo - grow[0], hi + grow[1]
-        lo, hi = lo - moves[0], hi + moves[1]
+        if not fine:  # level 2 keeps the range its sweep covered
+            lo, hi = lo - moves[0], hi + moves[1]
         if level == 1:
             value, error = total, abs(total) + tails + dropped
         else:

@@ -54,8 +54,8 @@ from .compositions import (
     Composition,
     ShiftedCMZV,
     admissible_target,
+    _parts_of,
     as_target,
-    compositions_of,
     positive_bounds,
 )
 from .errors import CapacityError, DivergenceError, DomainError, RewriteError
@@ -501,8 +501,7 @@ def depth_embedding(c: Composition) -> tuple[Composition, Composition]:
 def basis_ids(depth: int) -> Iterator[tuple[int, ...]]:
     """All 2^(depth-1) bound tuples (m_1,...,m_s), sum m_i = depth, that can
     label a generator zeta_{m_1..m_s}(1,..,1,2) at this depth."""
-    for c in compositions_of(depth):
-        yield c.parts
+    return _parts_of(depth)
 
 
 def depth2_closed_form(m1: Fraction | int, m2: Fraction | int) -> SymbolicConstant:

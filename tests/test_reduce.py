@@ -671,3 +671,8 @@ def test_basis_ids_counts():
         assert len(ids) == 2 ** (depth - 1)
         assert all(sum(t) == depth for t in ids)
         assert len(set(ids)) == len(ids)
+
+
+def test_basis_ids_are_the_parts_of_compositions_of():
+    for depth in range(1, 11):
+        assert list(basis_ids(depth)) == [c.parts for c in compositions_of(depth)]
