@@ -613,3 +613,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 1.0
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # it costs about 2.4 ms of every invocation; the unit cube loads it on first use
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cmzv.cli; print('numpy.polynomial' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -1,9 +1,11 @@
-"""Tensor double-exponential quadrature over products of tails [m_i, oo)."""
+"""Tensor double-exponential quadrature over products of tails [m_i, oo),
+and the unit-cube recursion."""
 
 import itertools
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -241,9 +243,8 @@ def test_memo_hit_is_converged_when_its_estimate_meets_the_request(monkeypatch):
     [
         (quad._semi_infinite_form(ShiftedCMZV((1, 2, 1), (1, 1, 2))), 1),
         (quad._semi_infinite_form(ShiftedCMZV((1, 1, 3, 1), (1, 2, 1, 2))), 2),
-        (quad._unit_cube_form(), 1),
     ],
-    ids=["semi-dims1", "semi-dims2", "cube4"],
+    ids=["semi-dims1", "semi-dims2"],
 )
 def test_level1_read_off_level2_matches_a_level1_sweep(form, dims):
     lo = np.array([-6, -8][:dims])
@@ -301,9 +302,9 @@ def test_values_that_stop_at_level2_stay_within_their_estimate(tol):
 def test_three_dimensional_runs_are_unchanged():
     # runs over three or more dimensions sweep level 1 on its own
     quad.clear_caches()
-    cube = eval_unit_cube_ones(6, 1e-5)
-    assert (cube.evaluations, cube.value.hex(), cube.error_estimate.hex()) == (
-        62216, "0x1.222c29494df59p-1", "0x1.94a8a86c29b09p-21"
+    semi = eval_numeric(Composition((1, 1, 1, 1, 1, 2)), 1e-5)
+    assert (semi.evaluations, semi.value.hex(), semi.error_estimate.hex()) == (
+        128902, "0x1.222c2db6b17dap-1", "0x1.3de29d5c9ff4dp-19"
     )
     quad.clear_caches()
     semi = eval_numeric(Composition((1, 1, 1, 1, 2)), 1e-2)
@@ -380,69 +381,6 @@ def test_semi_infinite_last_level_matches_log_space_levels(parts, bounds, rows, 
     assert (np.isinf(got) <= (ref > 1e300)).all()
 
 
-def _mp_dilog_difference(u: float, mpmath):
-    """D(u) = Li2(-u) - Li2(-2u) at the float u, by mpmath at the working precision."""
-    x = mpmath.mpf(u)
-    return mpmath.polylog(2, -x) - mpmath.polylog(2, -2 * x)
-
-
-def _check_dilog_difference(u: float, mpmath) -> None:
-    got = float(quad.dilog_difference(np.array(u)))
-    with mpmath.workdps(50):
-        exact = _mp_dilog_difference(u, mpmath)
-        assert abs(got - exact) <= quad._D_ERROR * exact, (u, got)
-
-
-@pytest.mark.parametrize("u", [0.0, 5e-324, 1e-300, 1e-8, 0.1, 1 / 3, 0.5, 1.0])
-def test_dilog_difference_within_its_bound(u):
-    _check_dilog_difference(u, pytest.importorskip("mpmath"))
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.floats(0.0, 1.0))
-def test_dilog_difference_within_its_bound_sweep(u):
-    _check_dilog_difference(u, pytest.importorskip("mpmath"))
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(
-    st.lists(st.tuples(st.floats(1, 6), st.floats(-690, 0), st.floats(-700, 30)), min_size=1, max_size=4),
-    _NODE_SETS,
-)
-def test_unit_cube_last_level_matches_expand_and_leaf(rows, nodes):
-    # states (A, B, W/B) of the cube: 1 <= A, B <= min(A, 1), W/B up to (pi cosh 7)^4
-    mpmath = pytest.importorskip("mpmath")
-    a = np.array([r[0] for r in rows])[:, None]
-    b = np.minimum(np.exp(np.array([r[1] for r in rows]))[:, None], a)
-    r = np.exp(np.array([r[2] for r in rows]))[:, None]
-    level, positions = nodes
-    i = _node_index(level, positions)
-    s = (i - round(quad._S_CAP * 2**level)) * 0.5**level
-    # the nodes and one level of expand, then the last two variables,
-    # W' D(x) / B' with x = B'/A' and D(x) = Li2(-x) - Li2(-2x) from mpmath
-    ps = np.pi * np.sinh(s)
-    e = np.exp(-np.abs(ps))
-    near_end, far_end = e / (1.0 + e), 1.0 / (1.0 + e)
-    y = np.where(ps >= 0.0, far_end, near_end)
-    jac = np.pi * np.cosh(s) * near_end * far_end
-    a_next, b_next, w_next = a + b * y, b * y, (r * b) * jac
-    x = b_next / a_next
-    with mpmath.workdps(30):
-        # D(x)/x, which tends to 1 as x -> 0
-        d_over_x = np.array(
-            [[float(_mp_dilog_difference(v, mpmath) / v) if v > 0.0 else 1.0 for v in row] for row in x]
-        )
-    ref = w_next * d_over_x / a_next
-    node = tuple(col[i] for col in quad._tanh_sinh_nodes(level))
-    form = quad._unit_cube_form()
-    got = form.leaf(form.expand(0, (a, b, r), node))
-    assert not np.isnan(got).any()
-    normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
-    # an intermediate product that underflows is off by at most 2^-1074
-    atol = 4.0 * (r + 1.0) * (node[1] + 1.0) * 2.0**-1074
-    assert (np.abs(got - ref) <= 1e-13 * ref + atol)[normal].all()
-
-
 def _end_reference(m: np.ndarray, h: float, share: float, room: int):
     """The array form of quad._end, m ordered towards the end."""
     k = min(len(m) - 1, max(1, round(0.5 / h)))
@@ -493,8 +431,8 @@ def test_clear_caches_empties_both_memos():
 # Rows computed cold by the nested adaptive Gauss-Kronrod engine that the
 # tensor rule replaced: (kind, exponents or depth, bounds, tol, its value,
 # its error estimate), each value within about 1e-11 of the truth; then the
-# evaluations of today's routes, captured cold (1 for the closed forms: depth 2,
-# and depth 3 on the cube).
+# evaluations of today's routes, captured cold (1 for the closed form of depth 2;
+# on the cube, (r - 1) n^2 summed over the node counts n tried).
 _PINNED = [
     ("semi", (1, 2), None, 1e-7, 0.6931471805599454, 2.5169205873843144e-13, 1),
     ("semi", (1, 1, 2), None, 1e-7, 0.6142793334595685, 2.427561666629779e-09, 66),
@@ -502,8 +440,8 @@ _PINNED = [
     ("semi", (1, 1, 1, 2), None, 1e-4, 0.5849770520591736, 2.97342650325648e-06, 475),
     ("semi", (1, 2), (2, 3), 1e-6, 0.3054302439580521, 1.0944020674315767e-09, 1),
     ("semi", (1, 1, 2), (3, 1, 2), 1e-6, 0.2567169534681611, 1.38799733759164e-08, 25),
-    ("cube", 3, None, 1e-6, 0.6142793334595676, 2.1152178015973951e-10, 1),
-    ("cube", 4, None, 1e-9, 0.5849770520487971, 2.2968101393910006e-13, 70),
+    ("cube", 3, None, 1e-6, 0.6142793334595676, 2.1152178015973951e-10, 640),
+    ("cube", 4, None, 1e-9, 0.5849770520487971, 2.2968101393910006e-13, 4032),
 ]
 
 
@@ -647,13 +585,32 @@ def test_depth6_ones_at_1e9_agrees_with_unit_cube():
     assert abs(semi.value - cube.value) <= semi.error_estimate + cube.error_estimate
 
 
-def test_unit_cube_depth3_is_one_closed_form_evaluation():
+def test_unit_cube_depth3_matches_its_dilogarithm_closed_form():
+    # -pi^2/12 - Li2(-2), at 30 digits
+    mpmath = pytest.importorskip("mpmath")
     quad.clear_caches()
     res = eval_unit_cube_ones(3, tol=1e-13)
-    assert (res.evaluations, res.converged) == (1, True)
-    assert res.error_estimate == (quad._ROUND + quad._D_ERROR) * res.value
-    assert abs(res.value - eval_numeric(Composition((1, 1, 2)), 1e-12).value) <= 1e-12
+    assert res.converged and res.error_estimate <= 1e-13
+    with mpmath.workdps(30):
+        exact = -mpmath.pi**2 / 12 - mpmath.polylog(2, -2)
+    assert abs(res.value - float(exact)) <= res.error_estimate
     assert eval_unit_cube_ones(3, tol=1e-6) is res
+
+
+def test_unit_cube_depths_2_to_8_raise_no_warning():
+    # every step matrix built afresh: at the node u = 0 every t is the
+    # interpolation node 0, and its exact row divides by nothing
+    quad._cube_step.cache_clear()
+    quad.clear_caches()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [eval_unit_cube_ones(r, 1e-12, depth_cap=8) for r in range(2, 9)]
+    assert all(res.converged for res in values)
+    assert quad._cube_step.cache_info().currsize == 4  # n = 8, 16, 32 and 64
+    # depth 8 against the semi-infinite route, 0.9 s
+    semi = eval_numeric(Composition((1,) * 7 + (2,)), 1e-4, depth_cap=8)
+    assert semi.converged
+    assert abs(values[-1].value - semi.value) <= values[-1].error_estimate + semi.error_estimate
 
 
 def test_depth6_default_tolerance_returns_promptly():
@@ -672,6 +629,24 @@ def test_integrate_semi_infinite_basics():
     assert abs(res.value - math.exp(-2.0)) < 1e-11
     assert res.error_estimate >= 0.0
     assert res.converged
+
+
+@pytest.mark.parametrize("lower", [math.inf, -math.inf, math.nan])
+def test_integrate_semi_infinite_lower_bound_must_be_finite(lower):
+    # inf once returned 0.0 as converged; -inf and nan said the value left the float range
+    with pytest.raises(DomainError, match="^the lower bound must be finite"):
+        integrate_semi_infinite(lambda x: x**-2.0, lower)
+
+
+@pytest.mark.parametrize(
+    "f, lower",
+    [(lambda x: x**-2.0, 1e300), (lambda x: np.exp(-x), 800.0)],
+    ids=["x^-2 from 1e300", "e^-x from 800"],
+)
+def test_integrate_semi_infinite_underflow_is_domain_error(f, lower):
+    # once 0.0 with estimate 0 and converged=True; the integrals are 1e-300 and e^-800
+    with pytest.raises(DomainError, match="^every integrand value was 0"):
+        integrate_semi_infinite(f, lower)
 
 
 def test_integrate_semi_infinite_non_integer_exponent():
