@@ -1,5 +1,6 @@
-"""Tensor double-exponential quadrature over products of tails [m_i, oo),
-and the unit-cube recursion."""
+"""The numeric routes: the chain of one-variable antiderivatives over
+products of tails [m_i, oo), the unit-cube recursion, and the exp-sinh rule
+of integrate_semi_infinite."""
 
 import itertools
 import math
@@ -154,6 +155,20 @@ def test_values_positive_and_below_bound():
                 assert val == pytest.approx(bound, abs=1e-15)
 
 
+def test_every_composition_up_to_weight_12_converges_below_its_bound():
+    # depths 2-6 at every node count the runs reach, with warnings raised as
+    # errors: no interpolant goes negative and no log of it is taken
+    quad.clear_caches()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in range(3, 13):
+            for c in admissible_compositions(w):
+                if 2 <= c.depth <= 6:
+                    res = eval_numeric(c, tol=1e-10)
+                    bound = convergence_bound(tuple(float(k) for k in c.parts))
+                    assert res.converged and 0.0 < res.value <= bound, c
+
+
 def test_monotone_in_exponents():
     # raising any exponent shrinks the integrand pointwise on [1,oo) products
     v12 = eval_numeric(Composition((1, 2)), tol=1e-9).value
@@ -181,15 +196,16 @@ def test_cache_returns_consistent_results():
     assert c.value == a.value
 
 
-def _count_sweeps(monkeypatch) -> list:
+def _count_runs(monkeypatch) -> list:
+    """The node counts of the chain runs made after the call."""
     calls = []
-    sweep = quad._sweep
+    chain = quad._chain
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return sweep(*args, **kwargs)
+    def counted(plan, n):
+        calls.append(n)
+        return chain(plan, n)
 
-    monkeypatch.setattr(quad, "_sweep", counted)
+    monkeypatch.setattr(quad, "_chain", counted)
     return calls
 
 
@@ -197,13 +213,13 @@ def test_memo_serves_every_tol_at_or_above_the_achieved_estimate(monkeypatch):
     quad.clear_caches()
     first = eval_numeric(Composition((1, 1, 3)), tol=1e-6)
     assert first.converged and first.error_estimate < 1e-6
-    sweeps = _count_sweeps(monkeypatch)
+    runs = _count_runs(monkeypatch)
     estimate = first.error_estimate
     for tol in (estimate, (estimate + 1e-6) / 2, 1e-6, 1e-2):
         assert eval_numeric(Composition((1, 1, 3)), tol=tol) is first
-    assert sweeps == []
+    assert runs == []
     tighter = eval_numeric(Composition((1, 1, 3)), tol=estimate / 2)
-    assert sweeps and tighter is not first
+    assert runs and tighter is not first
     assert tighter.converged and tighter.error_estimate <= estimate / 2
     # the tighter result now serves the looser request too
     assert eval_numeric(Composition((1, 1, 3)), tol=1e-6) is tighter
@@ -211,24 +227,24 @@ def test_memo_serves_every_tol_at_or_above_the_achieved_estimate(monkeypatch):
 
 def test_memo_unconverged_result_serves_only_its_own_tol_and_above(monkeypatch):
     quad.clear_caches()
-    # below the rounding allowance of 1e-13 |value|, no step can converge
+    # below the rounding allowance of the chain, no node count can converge
     stuck = eval_numeric(Composition((1, 1, 2)), tol=1e-20)
     assert not stuck.converged and stuck.error_estimate > 1e-20
-    sweeps = _count_sweeps(monkeypatch)
+    runs = _count_runs(monkeypatch)
     assert eval_numeric(Composition((1, 1, 2)), tol=1e-20) is stuck
     assert eval_numeric(Composition((1, 1, 2)), tol=1e-19) is stuck
-    assert sweeps == []
+    assert runs == []
     again = eval_numeric(Composition((1, 1, 2)), tol=1e-21)
-    assert sweeps and again is not stuck and not again.converged
+    assert runs and again is not stuck and not again.converged
 
 
 def test_memo_hit_is_converged_when_its_estimate_meets_the_request(monkeypatch):
     quad.clear_caches()
     stuck = eval_numeric(Composition((1, 1, 2)), tol=1e-20)
     assert not stuck.converged and stuck.error_estimate <= 1e-10
-    sweeps = _count_sweeps(monkeypatch)
+    runs = _count_runs(monkeypatch)
     served = eval_numeric(Composition((1, 1, 2)), tol=1e-10)
-    assert sweeps == []
+    assert runs == []
     assert served.converged
     assert (served.value, served.error_estimate, served.evaluations) == (
         stuck.value, stuck.error_estimate, stuck.evaluations
@@ -236,52 +252,6 @@ def test_memo_hit_is_converged_when_its_estimate_meets_the_request(monkeypatch):
     # a cold call at the looser tolerance converges too
     quad.clear_caches()
     assert eval_numeric(Composition((1, 1, 2)), tol=1e-10).converged
-
-
-@pytest.mark.parametrize(
-    "form, dims",
-    [
-        (quad._semi_infinite_form(ShiftedCMZV((1, 2, 1), (1, 1, 2))), 1),
-        (quad._semi_infinite_form(ShiftedCMZV((1, 1, 3, 1), (1, 2, 1, 2))), 2),
-    ],
-    ids=["semi-dims1", "semi-dims2"],
-)
-def test_level1_read_off_level2_matches_a_level1_sweep(form, dims):
-    lo = np.array([-6, -8][:dims])
-    hi = np.array([7, 5][:dims])
-    direct = quad._sweep(form, dims, 1, lo, hi, 0.0)  # nothing dropped
-    fine = quad._sweep(form, dims, 2, 2 * lo, 2 * hi, 0.0, coarse=True)
-    assert direct[4] is None
-    total, marginals, dropped = fine[4]
-    # the same points summed in another order
-    assert total == pytest.approx(direct[0], rel=4e-16, abs=0.0)
-    for m, d in zip(marginals, direct[1]):
-        assert m.shape == d.shape
-        np.testing.assert_allclose(m, d, rtol=4e-16, atol=0.0)
-    assert dropped == direct[2] == 0.0
-
-
-def test_level1_read_off_level2_drops_at_least_what_level1_drops():
-    # at this drop_tol level 2's threshold drops a level-1 prefix that a
-    # level-1 sweep keeps; the read-off bound covers what its sum misses
-    form = quad._semi_infinite_form(ShiftedCMZV((1, 1, 1, 1), (1, 1, 1, 2)))
-    lo, hi = np.full(2, -6), np.full(2, 6)
-    total, _, dropped, _, _ = quad._sweep(form, 2, 1, lo, hi, 6e-4)
-    c_total, _, c_dropped = quad._sweep(form, 2, 2, 2 * lo, 2 * hi, 6e-4, coarse=True)[4]
-    assert 0.0 < dropped < c_dropped
-    assert 0.0 < total - c_total <= c_dropped - dropped
-
-
-@pytest.mark.parametrize(
-    "parts, tol, levels",
-    [((1, 1, 1, 2), 1e-4, [2]), ((1, 1, 2), 1e-2, [2]), ((1, 1, 1, 1, 2), 1e-2, [1, 2])],
-)
-def test_sweeps_of_a_cold_value(monkeypatch, parts, tol, levels):
-    # levels 1 and 2 are one sweep while level 2's first grid is one block
-    quad.clear_caches()
-    sweeps = _count_sweeps(monkeypatch)
-    res = eval_numeric(Composition(parts), tol)
-    assert res.converged and sweeps == levels
 
 
 @pytest.mark.parametrize("tol", [1e-1, 1e-2, 1e-3, 1e-4])
@@ -299,20 +269,6 @@ def test_values_that_stop_at_level2_stay_within_their_estimate(tol):
         assert res.error_estimate <= tol and res.converged, parts
 
 
-def test_three_dimensional_runs_are_unchanged():
-    # runs over three or more dimensions sweep level 1 on its own
-    quad.clear_caches()
-    semi = eval_numeric(Composition((1, 1, 1, 1, 1, 2)), 1e-5)
-    assert (semi.evaluations, semi.value.hex(), semi.error_estimate.hex()) == (
-        128902, "0x1.222c2db6b17dap-1", "0x1.3de29d5c9ff4dp-19"
-    )
-    quad.clear_caches()
-    semi = eval_numeric(Composition((1, 1, 1, 1, 2)), 1e-2)
-    assert (semi.evaluations, semi.value.hex(), semi.error_estimate.hex()) == (
-        4720, "0x1.25157da8b4618p-1", "0x1.87825338d008ap-15"
-    )
-
-
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6])
 def test_tolerance_must_be_finite_and_positive(tol):
     with pytest.raises(DomainError, match="^tolerance must be"):
@@ -325,60 +281,6 @@ def test_tolerance_must_be_finite_and_positive(tol):
         eval_unit_cube_ones(3, tol)
     with pytest.raises(DomainError, match="^tolerance must be"):
         integrate_semi_infinite(lambda x: x**-2.0, 1.0, tol)
-
-
-def _log1pexp(x):
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-_LOGS = st.floats(math.log(1e-300), math.log(1e300))
-# a level and node positions in [0, 1] along its table; both ends, s = -7
-# (E underflows) and s = 7 (E overflows), are always added
-_NODE_SETS = st.tuples(st.integers(1, 11), st.lists(st.floats(0, 1), min_size=1, max_size=8))
-
-
-def _node_index(level: int, positions: list) -> np.ndarray:
-    n = 2 * round(quad._S_CAP * 2**level) + 1
-    return np.array([min(n - 1, int(p * n)) for p in positions] + [0, n - 1])
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(
-    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(2, 6)),
-    st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
-    st.lists(st.tuples(_LOGS, _LOGS), min_size=1, max_size=4),
-    _NODE_SETS,
-)
-def test_semi_infinite_last_level_matches_log_space_levels(parts, bounds, rows, nodes):
-    k1, a, k3 = parts
-    b = k3 - 1
-    m2, m3 = (Fraction(m) for m in bounds)
-    form = quad._semi_infinite_form(ShiftedCMZV((1, m2, m3), parts))
-    lm2, lm3 = (math.log(m.numerator) - math.log(m.denominator) for m in (m2, m3))
-    lc = np.array([r[0] for r in rows])[:, None]
-    lw = np.array([r[1] for r in rows])[:, None]
-    table = quad._exp_sinh_nodes(nodes[0])
-    node = tuple(col[_node_index(*nodes)] for col in table)
-    ps, lj = node[0], node[1]
-    # the log-space level of expand, then the leaf C^(1-a-b) J(a, b; m3/C) / b
-    lrho = 0.5 * _log1pexp(lm2 - lc)
-    lt = lrho + ps
-    lw_next = (lw + (1 - k1) * lc) + (lt + lj) - k1 * _log1pexp(lt)
-    lc_next = (lc + 2.0 * lrho) + _log1pexp(ps - lrho)
-    lz = lm3 - lc_next
-    with np.errstate(over="ignore"):
-        ref = np.exp(lw_next + (1 - a - b) * lc_next + quad.log_j(a, b, lz)) / b
-    got = form.leaf(form.expand(0, (lc, lw), node))
-    assert not np.isnan(got).any()
-    # Both sides round logarithms of size up to L, so they may differ by
-    # L ulps, and log J by b ulps of log z for each ulp of log C.
-    logs = np.abs(lw) + (k1 + a + b) * (np.abs(lc) + 2.0 * np.abs(lrho) + np.abs(ps) + 1.0)
-    logs = logs + b * (np.abs(lz) + np.abs(lm3))
-    rtol = 1e-13 + 2.0 * np.finfo(float).eps * logs
-    # a value near the float range's ends may round across it on one side
-    normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny) & (ref <= 1e300)
-    assert (np.abs(got[normal] - ref[normal]) <= rtol[normal] * ref[normal]).all()
-    assert (np.isinf(got) <= (ref > 1e300)).all()
 
 
 def _end_reference(m: np.ndarray, h: float, share: float, room: int):
@@ -431,15 +333,16 @@ def test_clear_caches_empties_both_memos():
 # Rows computed cold by the nested adaptive Gauss-Kronrod engine that the
 # tensor rule replaced: (kind, exponents or depth, bounds, tol, its value,
 # its error estimate), each value within about 1e-11 of the truth; then the
-# evaluations of today's routes, captured cold (1 for the closed form of depth 2;
-# on the cube, (r - 1) n^2 summed over the node counts n tried).
+# evaluations of today's routes, captured cold (on the chain, the node values
+# of psi formed over the node counts n tried; on the cube, (r - 1) n^2 summed
+# over them).
 _PINNED = [
-    ("semi", (1, 2), None, 1e-7, 0.6931471805599454, 2.5169205873843144e-13, 1),
-    ("semi", (1, 1, 2), None, 1e-7, 0.6142793334595685, 2.427561666629779e-09, 66),
-    ("semi", (2, 1, 3), None, 1e-4, 0.01813857202455389, 7.217660106945705e-08, 25),
-    ("semi", (1, 1, 1, 2), None, 1e-4, 0.5849770520591736, 2.97342650325648e-06, 475),
-    ("semi", (1, 2), (2, 3), 1e-6, 0.3054302439580521, 1.0944020674315767e-09, 1),
-    ("semi", (1, 1, 2), (3, 1, 2), 1e-6, 0.2567169534681611, 1.38799733759164e-08, 25),
+    ("semi", (1, 2), None, 1e-7, 0.6931471805599454, 2.5169205873843144e-13, 72),
+    ("semi", (1, 1, 2), None, 1e-7, 0.6142793334595685, 2.427561666629779e-09, 144),
+    ("semi", (2, 1, 3), None, 1e-4, 0.01813857202455389, 7.217660106945705e-08, 144),
+    ("semi", (1, 1, 1, 2), None, 1e-4, 0.5849770520591736, 2.97342650325648e-06, 216),
+    ("semi", (1, 2), (2, 3), 1e-6, 0.3054302439580521, 1.0944020674315767e-09, 96),
+    ("semi", (1, 1, 2), (3, 1, 2), 1e-6, 0.2567169534681611, 1.38799733759164e-08, 144),
     ("cube", 3, None, 1e-6, 0.6142793334595676, 2.1152178015973951e-10, 640),
     ("cube", 4, None, 1e-9, 0.5849770520487971, 2.2968101393910006e-13, 4032),
 ]
@@ -458,83 +361,10 @@ def test_nested_engine_pinned_table(kind, arg, bounds, tol, value, error, evalua
     assert res.evaluations == evaluations
 
 
-# log z over log 1e-600 .. log 1e600, and around both ends of the Pfaff regime
-_LOG_Z = sorted(
-    [e * math.log(10.0) for e in range(-600, 601, 100)]
-    + [-1.0, 0.0, 1.0, 2.0, math.log(4.0), math.nextafter(math.log(4.0), 9.0), 10.0, 60.0]
-)
-
-
-@pytest.mark.parametrize("a", range(1, 8))
-def test_log_j_matches_hyp2f1_within_its_bound(a):
-    # J(a, b; z) = 2F1(b, a+b-1; a+b; -z) / (a+b-1), at 50 digits
-    mpmath = pytest.importorskip("mpmath")
-    lz = np.array(_LOG_Z)
-    for b in range(1, 8):
-        got = quad.log_j(a, b, lz)
-        table = quad._j_table(a, b)
-        for g, x in zip(got, _LOG_Z):
-            with mpmath.workdps(50):
-                z = mpmath.exp(mpmath.mpf(x))
-                exact = mpmath.log(mpmath.hyp2f1(b, a + b - 1, a + b, -z) / (a + b - 1))
-            eps = table.eps_small if x <= math.log(4.0) else table.eps_large
-            bound = (eps + 3.0 * b * max(0.0, x)) * 2.0**-53
-            assert abs(float(g - exact)) <= bound, (a, b, x)
-
-
-# eps_small and eps_large of _j_table(a, b), a = 1..7 by rows and b = 1..6,
-# bit for bit: V(4) takes the Pfaff sum at w = 0.8 by the same Horner steps,
-# in the same order, as _pfaff_sum on an array
-_J_EPS_PINNED = [
-    [
-        (70.07944154167984, 32.43265498598133), (83.29583686600432, 64.85177951673747),
-        (96.15888308335967, 150.85659598172128), (108.8283137373023, 325.9418365411592),
-        (121.37527840768416, 650.9399146168686), (133.83773044716594, 1221.262841662842),
-    ],
-    [
-        (71.29583686600432, 65.2630252776634), (84.15888308335967, 122.06286087415279),
-        (96.8283137373023, 284.5478203786245), (109.37527840768416, 636.5449230529887),
-        (121.83773044716594, 1336.2617679188886), (134.2383246250395, 2645.3405991521777),
-    ],
-    [
-        (72.15888308335967, 112.17302161602373), (84.8283137373023, 229.95842375432366),
-        (97.37527840768416, 461.25520605547297), (109.83773044716594, 993.1656300715059),
-        (122.23832462503951, 2073.6727769843556), (134.59167373200864, 4170.57106027704),
-    ],
-    [
-        (72.8283137373023, 181.1395845045838), (85.37527840768416, 365.83858086050816),
-        (97.83773044716594, 738.4159441068646), (110.23832462503951, 1453.2696254506113),
-        (122.59167373200866, 2934.295654226554), (134.90775527898214, 5817.594074263842),
-    ],
-    [
-        (73.37527840768416, 295.20125044792803), (85.83773044716594, 572.387266413336),
-        (98.23832462503951, 1117.0411521310882), (110.59167373200866, 2160.497739611034),
-        (122.90775527898214, 4109.384247656975), (135.19368581839512, 7901.308967911684),
-    ],
-    [
-        (73.83773044716594, 487.4544384198196), (86.23832462503951, 911.4894841555277),
-        (98.59167373200866, 1710.4050180050292), (110.90775527898214, 3199.8784242492557),
-        (123.19368581839511, 5944.379724819574), (135.454719949364, 10936.768167030106),
-    ],
-    [
-        (74.23832462503951, 808.9268497635342), (86.59167373200866, 1471.580701905114),
-        (98.90775527898214, 2674.82138600032), (111.19368581839511, 4847.816698410744),
-        (123.454719949364, 8752.012067063717), (135.69484807238462, 15727.791930895866),
-    ],
-]
-
-
-def test_j_table_error_bounds_pinned():
-    for a, row in enumerate(_J_EPS_PINNED, start=1):
-        for b, pinned in enumerate(row, start=1):
-            table = quad._j_table(a, b)
-            assert (table.eps_small, table.eps_large) == pinned, (a, b)
-
-
 def test_depth2_is_one_closed_form_evaluation():
     quad.clear_caches()
     res = eval_numeric(Composition((2, 2)), tol=1e-14)
-    assert (res.evaluations, res.converged) == (1, True)
+    assert res.converged
     assert abs(res.value - (1.0 - LOG2)) <= res.error_estimate <= 1e-14
 
 
@@ -542,13 +372,16 @@ def test_depth3_generators_match_dilogarithm_closed_form():
     # B(m1, m2, m3) = (Li2(-m2/m1) - Li2(-(m2+m3)/m1)) / m3
     mpmath = pytest.importorskip("mpmath")
     grid = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2))
-    for ids in itertools.product(grid, repeat=3):
-        quad.clear_caches()
-        res = eval_basis_generator(ids, tol=1e-12)
+    far = (Fraction(1, 10**6), Fraction(10**6))
+    for ids in itertools.product(grid + far, repeat=3):
         m1, m2, m3 = (mpmath.mpf(m.numerator) / m.denominator for m in ids)
         with mpmath.workdps(30):
             exact = float((mpmath.polylog(2, -m2 / m1) - mpmath.polylog(2, -(m2 + m3) / m1)) / m3)
-        assert abs(res.value - exact) <= res.error_estimate <= 1e-12, ids
+        # values reach 6.1e5 with bounds 1e-6; with a far bound the tolerance is relative
+        tol = 1e-12 * max(1.0, exact) if set(ids) & set(far) else 1e-12
+        quad.clear_caches()
+        res = eval_basis_generator(ids, tol=tol)
+        assert abs(res.value - exact) <= res.error_estimate <= tol, ids
 
 
 def test_tolerance_far_below_rounding_stops_early_at_extreme_bounds():
@@ -561,14 +394,13 @@ def test_tolerance_far_below_rounding_stops_early_at_extreme_bounds():
         assert not res.converged and res.evaluations < 10**6, target
 
 
-@pytest.mark.xfail(strict=True, reason="open: the first levels miss mass at scales the bounds span")
 def test_multi_scale_bounds_do_not_claim_a_wrong_value():
-    # converged=True with value 7.66e-8 and estimate 7.66e-8 after 217 points;
-    # at tol 1e-8 the same target gives 667.7496769682838 (estimate 2.2e-10)
+    # once converged=True with value 7.66e-8 and estimate 7.66e-8 after 217
+    # points; the oracle is mpmath's value
     quad.clear_caches()
     bounds = (Fraction(1, 10**300), Fraction(10**10), Fraction(10**300))
     res = eval_numeric(ShiftedCMZV(bounds, (2, 1, 2)), 1e-6)
-    assert not res.converged or abs(res.value - 667.7496769682838) <= res.error_estimate
+    assert not res.converged or abs(res.value - 667.74967696827325) <= res.error_estimate
 
 
 def test_depth6_ones_at_1e9_agrees_with_unit_cube():
