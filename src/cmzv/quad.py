@@ -36,6 +36,15 @@ difference.  B(phi(w')) is read off B's Chebyshev coefficients on the piece
 holding phi(w'), which phi reaches in logarithms with the powers of 2
 carried as integers (_chain).
 
+A process keeps what depends on node counts and bounds alone, never a
+result: the Chebyshev nodes and coefficient matrix per n (_chebyshev), the
+antiderivative matrices per (n, p) (_step), the geometry memo of the chain's
+step shapes (_geometry: the points phi(w'), their pieces and the Chebyshev
+basis there, per (n, pieces, ratios of the bounds), capped at _MAX_GEOMETRY
+elements and emptied when an insert would pass the cap), the unit cube's
+step matrix per n (_cube_step) and the exp-sinh nodes per level
+(_exp_sinh_nodes).  clear_caches drops the results alone.
+
 A run of the chain at n nodes returns its value, the node values of psi it
 formed (summed over the steps, the `evaluations` of the call), and its
 rounding allowance (_chain).  The doubling driver (_doubling) runs n = 8,
@@ -77,7 +86,7 @@ import sys
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -237,13 +246,82 @@ def _step(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return *matrices, edge
 
 
-@functools.cache
-def _positions(n: int, pieces: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes w = 2^-q x of psi's pieces, the bottom piece last: (q, log x)."""
+class _Geometry(NamedTuple):
+    """The points of one step of the chain, which depend on its step shape
+    alone, never on the exponents or on psi (_geometry)."""
+
+    lz: np.ndarray  # log(1 + m_j w' / U_{j-1}) at the nodes w' of psi_{j-1}
+    piece: np.ndarray  # the piece of psi_j holding phi(w'); empty at the first step
+    blocks: Iterable[tuple[slice, np.ndarray]]  # (rows, T_0..T_{n-1} at their x^), each of at most _BLOCK elements
+    size: int  # the elements of lz, piece and the basis
+
+
+# The geometry memo: the geometry of each step shape, for every chain run in
+# the process.  It holds no results, only points; an insert that would pass
+# _MAX_GEOMETRY elements empties it first.
+_MAX_GEOMETRY = 1 << 17
+_GEOMETRY: dict[tuple, _Geometry] = {}
+_geometry_held = 0  # the elements of the geometries in _GEOMETRY
+_geometry_lock = threading.Lock()
+
+
+def _clear_geometry() -> None:
+    """Empty the geometry memo, so that the next runs build every step."""
+    global _geometry_held
+    with _geometry_lock:
+        _GEOMETRY.clear()
+        _geometry_held = 0
+
+
+def _geometry(n: int, below: int | None, pieces: int, em: int, lfm: float, eu: int, lfu: float) -> _Geometry:
+    """The geometry of a step of the chain at n nodes per piece: psi_{j-1}
+    on pieces + 1 pieces (the nodes w' = 2^-q x, the bottom piece last) and
+    psi_j on below + 1 pieces (None at the first step, which interpolates
+    nothing), with m_j / U_{j-1} = 2^em e^lfm and U_j / U_{j-1} = 2^eu e^lfu.
+
+    The point phi(w') = 2^-(q - eu) e^lt, lt = lfu + log x - lz, lies on
+    psi_j's piece i, where it is x^ in [-1, 1], and the basis is
+    T_0, ..., T_{n-1} at x^.  A geometry of (pieces + 1) n (n + 2) elements
+    at most _MAX_GEOMETRY is stored in the memo and kept read-only; a larger
+    one is built for its run alone and yields its basis block by block.
+    """
+    global _geometry_held
+    key = n, below, pieces, em, lfm, eu, lfu
+    with _geometry_lock:
+        hit = _GEOMETRY.get(key)
+    if hit is not None:
+        return hit
     nodes, _ = _chebyshev(n)
     x = 0.5 + 0.5 * nodes
-    q = np.repeat(np.append(np.arange(1.0, pieces + 1), pieces), n)
-    return q, np.concatenate((np.tile(np.log1p(x), pieces), np.log(x)))
+    q = np.arange(1.0, pieces + 2)[:, None]  # w' = 2^-q x, one row per piece, the bottom piece last
+    q[-1] = pieces
+    lx = np.empty((pieces + 1, n))
+    lx[:-1], lx[-1] = np.log1p(x), np.log(x)
+    lz = np.logaddexp(0.0, (em - q) * _LOG2 + (lfm + lx))
+    if below is None:
+        piece, xhat = np.empty(0, int), np.empty(0)
+    else:
+        shift, lt = q - eu, (lfu + lx) - lz
+        i = np.clip(np.floor(shift - lt * (1.0 / _LOG2)), 0, below)  # phi(w')'s piece
+        graded = i < below
+        # x^ maps phi(w') 2^(i+1) on a graded piece, phi(w') 2^P on the bottom one, to [-1, 1]
+        xhat = (2.0 * np.exp(lt + (i + graded - shift) * _LOG2) - np.where(graded, 3.0, 1.0)).ravel()
+        piece = i.astype(int).ravel()
+    rows = max(1, _BLOCK // n)
+    blocks = ((slice(a, a + rows), _basis(xhat[a : a + rows], n)) for a in range(0, xhat.size, rows))
+    geometry = _Geometry(lz.ravel(), piece, blocks, lz.size + piece.size * (n + 1))
+    if geometry.size > _MAX_GEOMETRY:
+        return geometry
+    geometry = geometry._replace(blocks=tuple(blocks))
+    for a in (geometry.lz, piece, *(basis for _, basis in geometry.blocks)):
+        a.flags.writeable = False
+    with _geometry_lock:
+        if _geometry_held + geometry.size > _MAX_GEOMETRY:
+            _GEOMETRY.clear()
+            _geometry_held = 0
+        if _GEOMETRY.setdefault(key, geometry) is geometry:
+            _geometry_held += geometry.size
+    return geometry
 
 
 def _ratio(a: float, b: float) -> tuple[int, float]:
@@ -283,7 +361,12 @@ def _chain(plan: tuple, n: int) -> tuple[float, int, float]:
 
     Each step reaches its nodes w' = 2^-q x and the points phi(w') =
     2^-(q - e_u) e^lt in logarithms whose powers of 2 stay integers, so
-    log(1 + m_j w' / U_{j-1}) is formed without cancelling large logs.  The
+    log(1 + m_j w' / U_{j-1}) is formed without cancelling large logs.
+    Those points depend on the step's shape alone and come from the
+    geometry memo (_geometry); the run itself does only the work that
+    depends on psi: per step, a gather of B's coefficients at the points'
+    pieces, one product with the stored basis, a log, and the next
+    antiderivative (_interpolate, _antiderivative).  The
     relative allowance is twice, in units of 2^-53, n + 16 per step for the
     rounding of the matrix products and interpolants (whose Lebesgue
     constants stay below 4 at n <= 64), plus the sizes of the logarithms
@@ -296,14 +379,13 @@ def _chain(plan: tuple, n: int) -> tuple[float, int, float]:
     """
     steps, log_b, lead, size = plan
     formed = 0
-    b = None
+    below = None
     for pieces, em, lfm, eu, lfu, sigma, p in steps:
-        q, lx = _positions(n, pieces)
-        lz = np.logaddexp(0.0, (em - q) * _LOG2 + (lfm + lx))  # log(1 + m_j w' / U_{j-1})
-        lpsi = -sigma * lz
-        lpsi += log_b if b is None else _interpolate(*b, q - eu, (lfu + lx) - lz)
+        geometry = _geometry(n, below, pieces, em, lfm, eu, lfu)
+        lpsi = -sigma * geometry.lz
+        lpsi += log_b if below is None else _interpolate(scale, coeffs, geometry)
         scale, coeffs, log_b = _antiderivative(lpsi.reshape(pieces + 1, n), p)
-        b = scale, coeffs
+        below = pieces
         formed += lpsi.size
         size += n + 16 + float(np.abs(scale).max())
     log_value = lead + log_b
@@ -340,22 +422,15 @@ def _antiderivative(lpsi: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, f
     return scale, coeffs, float(scale[0]) + math.log(beta)
 
 
-def _interpolate(scale: np.ndarray, coeffs: np.ndarray, shift: np.ndarray, lt: np.ndarray) -> np.ndarray:
-    """log B at the points t = 2^-shift e^lt <= 1 from its pieces (scale,
-    coeffs of _antiderivative), in blocks of at most _BLOCK elements."""
-    pieces, n = scale.size - 1, coeffs.shape[1]
-    i = np.clip(np.floor(shift - lt * (1.0 / _LOG2)), 0, pieces)  # t's piece
-    graded = i < pieces
-    x = np.exp(lt + (i + graded - shift) * _LOG2)  # t 2^(i+1) on a graded piece, t 2^P on the bottom
-    xhat = 2.0 * x - np.where(graded, 3.0, 1.0)
-    i = i.astype(int)
-    out = np.empty(lt.shape)
-    rows = max(1, _BLOCK // n)
-    for a in range(0, lt.size, rows):
-        block = slice(a, a + rows)
-        out[block] = (_basis(xhat[block], n) * coeffs[i[block]]).sum(axis=1)
+def _interpolate(scale: np.ndarray, coeffs: np.ndarray, geometry: _Geometry) -> np.ndarray:
+    """log B at the points phi(w') of geometry from its pieces (scale, coeffs
+    of _antiderivative), one block of the basis at a time."""
+    piece = geometry.piece
+    out = np.empty(piece.shape)
+    for block, basis in geometry.blocks:
+        out[block] = (basis * coeffs[piece[block]]).sum(axis=1)
     np.log(out, out=out)
-    out += scale[i]
+    out += scale[piece]
     return out
 
 
@@ -433,17 +508,16 @@ def _cube_step(n: int) -> np.ndarray:
 
     F is held at the Chebyshev-Lobatto nodes u_i = (1 - cos(pi i/(n-1)))/2
     of [0, 1].  Row i integrates F_{k-1}(t) / (1 + u_i y), t = u_i y/(1 + u_i y),
-    by the n-point Gauss-Legendre rule in y, with F_{k-1}(t) interpolated
-    from the nodes in the barycentric form.  The node u = 0 has the exact row
-    F_k(0) = F_{k-1}(0); every other t lies in (0, 1/2), and off the nodes,
-    as checked for every n up to _MAX_NODES.  The temporaries hold n^3 numbers.
+    by the n-point Gauss-Legendre rule in y (_gauss_legendre), with
+    F_{k-1}(t) interpolated from the nodes in the barycentric form.  The
+    node u = 0 has the exact row F_k(0) = F_{k-1}(0); every other t lies in
+    (0, 1/2), and off the nodes, as checked for every n up to _MAX_NODES.
+    The temporaries hold n^3 numbers.
     """
-    from numpy.polynomial.legendre import leggauss  # loaded on first use: it costs milliseconds
-
     u = 0.5 - 0.5 * np.cos(np.pi * np.arange(n) / (n - 1))
     weights = np.resize([1.0, -1.0], n)
     weights[[0, -1]] *= 0.5
-    y, w = leggauss(n)
+    y, w = _gauss_legendre(n)
     y, w = 0.5 + 0.5 * y, 0.5 * w
     uy = np.multiply.outer(u[1:], y)
     t = uy / (1.0 + uy)
@@ -454,6 +528,41 @@ def _cube_step(n: int) -> np.ndarray:
     step[1:] = np.einsum("iq,iqj->ij", w / (1.0 + uy), basis)
     step.flags.writeable = False
     return step
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1]: nodes in ascending order,
+    and weights.
+
+    Newton's method on P_n, from the three-term recurrence, refines the
+    nonnegative nodes from cos(pi (i + 3/4) / (n + 1/2)) until no node moves
+    by more than 2^-52, and the negative ones mirror them.  With
+    P_n'(x) = n (P_{n-1} - x P_n) / (1 - x^2), the weights are
+    2 (1 - x^2) / (n (P_{n-1} - x P_n))^2, with 1 - x^2 formed as
+    (1 - x)(1 + x).  Against the rule at 40 digits, for n = 8..64, the
+    weights are within 7e-14 relative (9e-14 with 1 - x^2 as written;
+    numpy's leggauss, 1.8e-12), and every x^d, d < 2n, integrates within
+    6 2^-52 of 2/(d + 1) or 0 (leggauss, 51 2^-52).
+    """
+    x = np.cos(np.pi * (np.arange((n + 1) // 2) + 0.75) / (n + 0.5))
+    for _ in range(10):  # 5 iterations at most for every n <= 128
+        prev, p = _legendre(n, x)
+        dx = p * ((1.0 - x) * (1.0 + x)) / (n * (prev - x * p))
+        x = x - dx
+        if np.abs(dx).max() <= 2.0**-52:
+            break
+    prev, p = _legendre(n, x)
+    w = 2.0 * ((1.0 - x) * (1.0 + x)) / (n * (prev - x * p)) ** 2
+    half = n // 2
+    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_{n-1}(x) and P_n(x), n >= 1, by the three-term recurrence."""
+    prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+    return prev, p
 
 
 def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) -> NumericResult:
@@ -542,13 +651,13 @@ def _end(m: list, h: float, share: float, room: int) -> tuple[float | None, int]
     """
     k = min(len(m) - 1, max(1, round(0.5 / h)))
     last, back = m[0], m[k]
+    rho = (last / back) ** (1.0 / k) if back > last else 1.0
     if last == 0.0:
         tail = 0.0
-    elif back > last:
-        rho = (last / back) ** (1.0 / k)
+    elif rho < 1.0:
         tail = last * rho / (1.0 - rho)
     else:
-        tail = None
+        tail = None  # the end does not fall, or by too little for rho to round below 1
     if tail is None or tail > share:
         return tail, min(room, round(_S_STEP / h))
     # Node n may go when the steps from the end through node n + k all fall

@@ -616,11 +616,11 @@ def test_module_entry_point():
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
-    # it costs about 2.4 ms of every invocation; the unit cube loads it on first use
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cmzv.cli; print('numpy.polynomial' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
+    # it costs about 2.9 ms and 1.3 MB of a process; the unit cube forms its
+    # Gauss-Legendre rule without it
+    code = (
+        "import sys, cmzv.cli; print('numpy.polynomial' in sys.modules); "
+        "cmzv.quad.eval_unit_cube_ones(6, 1e-5); print('numpy.polynomial' in sys.modules)"
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\nFalse\n")

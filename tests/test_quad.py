@@ -5,8 +5,10 @@ of integrate_semi_infinite."""
 import itertools
 import math
 import random
+import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -287,10 +289,10 @@ def _end_reference(m: np.ndarray, h: float, share: float, room: int):
     """The array form of quad._end, m ordered towards the end."""
     k = min(len(m) - 1, max(1, round(0.5 / h)))
     last, back = float(m[-1]), float(m[-1 - k])
+    rho = (last / back) ** (1.0 / k) if back > last else 1.0
     if last == 0.0:
         tail = 0.0
-    elif back > last:
-        rho = (last / back) ** (1.0 / k)
+    elif rho < 1.0:
         tail = last * rho / (1.0 - rho)
     else:
         tail = None
@@ -317,6 +319,14 @@ def test_end_walk_matches_array_form(values, falling, level, share, room):
     m = np.array(head + sorted(tail, reverse=True))
     h = 0.5**level
     assert quad._end(m[::-1].tolist(), h, share, room) == _end_reference(m, h, share, room)
+
+
+def test_end_whose_ratio_rounds_to_1_is_unbounded():
+    # back exceeds last by one ulp over 59 nodes: rho rounds to 1, which
+    # once divided by zero
+    m = [1.0] * 59 + [1.0 + 2**-52]
+    assert quad._end(m, 2.0**-11, 1e3, 0) == (None, 0)
+    assert _end_reference(np.array(m[::-1]), 2.0**-11, 1e3, 0) == (None, 0)
 
 
 def test_clear_caches_empties_both_memos():
@@ -443,6 +453,77 @@ def test_unit_cube_depths_2_to_8_raise_no_warning():
     semi = eval_numeric(Composition((1,) * 7 + (2,)), 1e-4, depth_cap=8)
     assert semi.converged
     assert abs(values[-1].value - semi.value) <= values[-1].error_estimate + semi.error_estimate
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1():
+    # oracles: the integrals 2/(d + 1) and 0 of x^d over [-1, 1], and
+    # numpy's eigenvalue rule, whose weights are themselves up to 1.8e-12
+    # off the rule at 40 digits
+    leggauss = np.polynomial.legendre.leggauss
+    for n in range(8, 65):
+        x, w = quad._gauss_legendre(n)
+        d = np.arange(2 * n)
+        exact = np.where(d % 2 == 0, 2.0 / (d + 1), 0.0)
+        assert np.abs((w[:, None] * x[:, None] ** d).sum(axis=0) - exact).max() <= 4 * math.ulp(2.0), n
+        lx, lw = leggauss(n)
+        assert np.abs(x - lx).max() <= 2.0**-52 and np.abs(w / lw - 1.0).max() <= 1e-11, n
+
+
+def test_geometry_memo_is_transparent_and_bounded():
+    # the chain's values do not depend on which step shapes the memo holds:
+    # cold before each call, warm in one order, warm in the other
+    far = (Fraction(1, 10**6), Fraction(10**6))
+    grid = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)) + far
+    bounds = (Fraction(1, 10**300), Fraction(10**10), Fraction(10**300))
+    calls = [(c, 1e-10) for w in range(3, 10) for c in admissible_compositions(w) if 2 <= c.depth <= 6]
+    calls += [(ShiftedCMZV(ids, (1, 1, 2)), 1e-12) for ids in itertools.product(grid, repeat=3)]
+    calls.append((ShiftedCMZV(bounds, (2, 1, 2)), 1e-6))
+
+    def values(order, cold):
+        out = {}
+        for target, tol in order:
+            quad.clear_caches()
+            if cold:
+                quad._clear_geometry()
+            out[target] = eval_numeric(target, tol).to_json()
+        return out
+
+    def held():
+        # counted from the arrays themselves, not from the memo's own sizes
+        return sum(a.size for g in quad._GEOMETRY.values() for a in (g.lz, g.piece, *(b for _, b in g.blocks)))
+
+    expected = values(calls, cold=True)
+    # the multi-scale target's steps are mostly too large to store
+    assert held() <= quad._MAX_GEOMETRY
+    assert values(calls, cold=False) == expected
+    assert values(calls[::-1], cold=False) == expected
+    assert 0 < held() <= quad._MAX_GEOMETRY
+
+
+def test_geometry_memo_under_threads(monkeypatch):
+    grid = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(10**6))
+    targets = [ShiftedCMZV(ids, (1, 1, 2)) for ids in itertools.product(grid, repeat=3)]
+    targets += [c for w in range(3, 8) for c in admissible_compositions(w) if 2 <= c.depth <= 5]
+    quad.clear_caches()
+    serial = [eval_numeric(t, 1e-10).to_json() for t in targets]
+    # a cap this small empties the memo while other runs read from it, and
+    # leaves the larger geometries (n = 64, and the far bound's from n = 16)
+    # to be built per run; a short switch interval interleaves the threads
+    monkeypatch.setattr(quad, "_MAX_GEOMETRY", 4096)
+    quad._clear_geometry()
+    quad.clear_caches()
+    order = list(range(len(targets)))
+    random.Random(5).shuffle(order)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda i: eval_numeric(targets[i], 1e-10).to_json(), order, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [serial[i] for i in order]
+    assert quad._geometry_held == sum(g.size for g in quad._GEOMETRY.values()) <= 4096
+    quad._clear_geometry()
 
 
 def test_depth6_default_tolerance_returns_promptly():
