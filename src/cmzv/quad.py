@@ -42,20 +42,22 @@ antiderivative matrices per (n, p) (_step), the geometry memo of the chain's
 step shapes (_geometry: the points phi(w'), their pieces and the Chebyshev
 basis there, per (n, pieces, ratios of the bounds), capped at _MAX_GEOMETRY
 elements and emptied when an insert would pass the cap), the unit cube's
-step matrix per n (_cube_step) and the exp-sinh nodes per level
+step matrix per n (_cube_step) and the exp-sinh nodes per n
 (_exp_sinh_nodes).  clear_caches drops the results alone.
 
-A run of the chain at n nodes returns its value, the node values of psi it
-formed (summed over the steps, the `evaluations` of the call), and its
-rounding allowance (_chain).  The doubling driver (_doubling) runs n = 8,
-16, ... up to 64 and returns v_2n with the estimate |v_2n - v_n| + the
-allowance of v_2n once that is <= tol; it stops unconverged once the
+All three routes run under one doubling driver (_doubling), with one stop
+rule and one estimate form.  A run at n nodes returns its value, its
+evaluations, and an allowance for what the difference of two runs does not
+see: rounding, plus the end tails of the exp-sinh rule.  The driver runs
+n = 8, 16, ... up to 64 and returns v_2n with the estimate |v_2n - v_n| +
+the allowance of v_2n once that is <= tol; it stops unconverged once the
 difference is within the allowance (more nodes cannot narrow the estimate)
-or at n = 64.  Like the difference of two rule levels, the estimate is
-a-posteriori: every piece lies a fixed ratio of its width away from the
-singularities, so the interpolants converge geometrically in n, and v_n's
-error dominates v_2n's.  The node cap and the bound range bound the work:
-one run forms at most 64 (r - 1) (P + 1) node values, P <= 2,000.
+or at n = 64.  For the chain the estimate is a-posteriori: every piece lies
+a fixed ratio of its width away from the singularities, so the interpolants
+converge geometrically in n, and v_n's error dominates v_2n's.  A run of
+the chain forms at most 64 (r - 1) (P + 1) node values of psi (its
+`evaluations`), P <= 2,000, with step matrices of at most _MAX_FEJER Fejer
+points.
 
 The unit-cube form of zeta(1, ..., 1, 2) takes a route of its own, a
 one-variable Nystrom recursion on [0, 1] (_cube_step, eval_unit_cube_ones),
@@ -63,18 +65,20 @@ under the same doubling driver, so that it stays an independent check of
 the chain.
 
 integrate_semi_infinite integrates a caller's one-dimensional integrand over
-[lower, oo) by the exp-sinh trapezoidal rule (Takahasi & Mori 1974), level
-by level (_adaptive_unit).
+[lower, oo) by the exp-sinh trapezoidal rule (Takahasi & Mori 1974): one
+run is one sum at step 1/n over a node range grown until its end tails are
+small (_adaptive_unit).
 
 Results that miss their tolerance are flagged, never silently truncated.
 The values of eval_numeric at depth >= 2 leave through one float-range check
-(_in_float_range): a value above the float range, or below its least normal
-number (an exp that underflowed), raises DomainError rather than pass as
-exact.  The two zeta routes share one memo: a stored result serves every
-tolerance at or above its error estimate if it converged, else every
-tolerance at or above the one it was computed at, and a served result is
-converged when its estimate meets the request.  A tolerance is a finite
-positive number (check_tolerance).
+(_in_float_range): a value above the float range, below its least normal
+number (an exp that underflowed), or NaN (an interpolant of the chain that
+went nonpositive), raises DomainError rather than pass as exact.  The two
+zeta routes share one memo: a stored result serves every tolerance at or
+above its error estimate if it converged, else every tolerance at or above
+the one it was computed at, and a served result is converged when its
+estimate meets the request.  A tolerance is a finite positive number
+(check_tolerance).
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .compositions import Composition, ShiftedCMZV, admissible_target
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 @dataclass(frozen=True)
 class NumericResult:
@@ -172,15 +176,16 @@ def _memoized(key: tuple, tol: float, run: Callable[[float], NumericResult]) -> 
     return result
 
 
-# The doubling driver of the chain and the unit cube.
+# The doubling driver of every route.
 _NODES, _MAX_NODES = 8, 64  # node counts n: the first, and the cap
 
 
 def _doubling(run: Callable[[int], tuple[float, int, float]], tol: float) -> NumericResult:
-    """run(n) -> (value, evaluations, rounding allowance) for n = 8, 16, ...
-    until |v_2n - v_n| + the allowance of v_2n is <= tol (converged), the
+    """run(n) -> (value, evaluations, allowance) for n = 8, 16, ... until
+    |v_2n - v_n| + the allowance of v_2n is <= tol (converged), the
     difference is within the allowance, or n = _MAX_NODES; returns v_2n with
-    that estimate and the evaluations of every run."""
+    that estimate and the evaluations of every run.  The allowance is the
+    run's rounding, plus its end tails for the exp-sinh rule."""
     n = _NODES
     prev, evaluations, _ = run(n)
     while True:
@@ -198,6 +203,8 @@ def _doubling(run: Callable[[int], tuple[float, int, float]], tol: float) -> Num
 _LOG2 = math.log(2.0)
 _EPS = 2.0**-53  # unit roundoff
 _BLOCK = 1 << 15  # elements of one interpolation temporary
+_STEP_BLOCK = 1 << 20  # elements of one temporary of _step
+_MAX_FEJER = 1 << 12  # Fejer points n + p of a step: the largest p is weight - depth - 1
 
 
 @functools.cache
@@ -225,23 +232,30 @@ def _step(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     values of psi at the nodes to the Chebyshev coefficients of
     F(x) = x^-(p+1) int_lo^x s^p psi~(s) ds, psi~ the interpolant (rows
     0..n-1), and to F(lo + 1) (row n).  Each integral is Fejer's first rule
-    at n + p points, exact for a polynomial of degree n - 1 + p.  edge holds
-    the coefficients of x^-(p+1) on [1, 2].  The temporaries hold
-    (n + 1) (n + p) n numbers.
+    at m = n + p points, exact for a polynomial of degree n - 1 + p, with
+    s^p / x^(p+1) formed as (s/x)^p / x, which stays in the float range for
+    every p; the rule sums T_0, ..., T_{n-1} at its points, and one product
+    by the values-to-coefficients matrix follows the sum.  edge holds the
+    coefficients of x^-(p+1) on [1, 2].  The points
+    are taken in blocks whose temporaries hold about _STEP_BLOCK numbers at
+    most, so the memory does not grow with p; m <= 84 (n <= 64, p <= 20)
+    is one block.
     """
     nodes, to_coeffs = _chebyshev(n)
     m = n + p
-    theta = (np.arange(m) + 0.5) * (np.pi / m)
     j = np.arange(1, m // 2 + 1)
-    weights = (1.0 - 2.0 * (np.cos(np.multiply.outer(theta, 2 * j)) / (4 * j * j - 1)).sum(axis=1)) / m
-    fejer = 0.5 - 0.5 * np.cos(theta)  # Fejer's points on [0, 1], with weights summing to 1
-    matrices = []
-    for lo in (1.0, 0.0):
-        ends = np.append(lo + 0.5 + 0.5 * nodes, lo + 1.0)
-        s = lo + np.multiply.outer(ends - lo, fejer)
-        lagrange = _basis(2.0 * (s - lo) - 1.0, n) @ to_coeffs
-        f = np.einsum("iq,iqk->ik", (ends - lo)[:, None] * weights * s**p, lagrange) / ends[:, None] ** (p + 1)
-        matrices.append(np.vstack((to_coeffs @ f[:n], f[n:])))
+    rows = max(1, _STEP_BLOCK // ((n + 1) * n + j.size))
+    f = np.zeros((2, n + 1, n))
+    for a in range(0, m, rows):
+        th = (np.arange(a, min(a + rows, m)) + 0.5) * (np.pi / m)
+        weights = (1.0 - 2.0 * (np.cos(np.multiply.outer(th, 2 * j)) / (4 * j * j - 1)).sum(axis=1)) / m
+        fejer = 0.5 - 0.5 * np.cos(th)  # Fejer's points on [0, 1], with weights summing to 1
+        for g, lo in zip(f, (1.0, 0.0)):
+            ends = np.append(lo + 0.5 + 0.5 * nodes, lo + 1.0)
+            s = lo + np.multiply.outer(ends - lo, fejer)
+            w = ((ends - lo) / ends)[:, None] * weights * (s / ends[:, None]) ** p
+            g += np.einsum("iq,iqk->ik", w, _basis(2.0 * (s - lo) - 1.0, n))
+    matrices = [np.vstack((to_coeffs @ g[:n], g[n:])) @ to_coeffs for g in f]
     edge = to_coeffs @ (1.5 + 0.5 * nodes) ** -(p + 1)
     return *matrices, edge
 
@@ -336,7 +350,8 @@ def _chain_plan(t: ShiftedCMZV) -> tuple[list, float, float, float]:
     steps j = r, ..., 2, each (pieces of psi_{j-1}, then m_j / U_{j-1} and
     U_j / U_{j-1} as _ratio gives them, sigma_{j-1}, p_{j-1}); log B_r; the
     log of the final factor m_1^(r - weight); and the part of the rounding
-    allowance that does not depend on n (_chain)."""
+    allowance that does not depend on n (_chain).  CapacityError if a step
+    needs more than _MAX_FEJER Fejer points."""
     k = t.exponents.parts
     r = len(k)
     bounds = [float(b) for b in t.bounds]
@@ -351,6 +366,8 @@ def _chain_plan(t: ShiftedCMZV) -> tuple[list, float, float, float]:
         lz_max = eu * _LOG2 + lfu  # log(U_j / U_{j-1}), the largest log(1 + m_j w' / U_{j-1})
         steps.append((pieces, em, lfm, eu, lfu, sigma[j - 1], k[j - 1] - 2 + sigma[j - 1]))
         size += (t.weight + sigma[j - 1] + 2) * lz_max + (pieces + 2) * _LOG2
+    if _MAX_NODES + steps[-1][-1] > _MAX_FEJER:  # the last step's p, weight - r - 1, is the largest
+        raise CapacityError(f"weight {t.weight} at depth {r} needs more than {_MAX_FEJER} Fejer points per step")
     lead = (r - t.weight) * math.log(bounds[0])
     return steps, -math.log(k[-1] - 1), lead, size + 2.0 * abs(lead)
 
@@ -380,17 +397,19 @@ def _chain(plan: tuple, n: int) -> tuple[float, int, float]:
     steps, log_b, lead, size = plan
     formed = 0
     below = None
-    for pieces, em, lfm, eu, lfu, sigma, p in steps:
-        geometry = _geometry(n, below, pieces, em, lfm, eu, lfu)
-        lpsi = -sigma * geometry.lz
-        lpsi += log_b if below is None else _interpolate(scale, coeffs, geometry)
-        scale, coeffs, log_b = _antiderivative(lpsi.reshape(pieces + 1, n), p)
-        below = pieces
-        formed += lpsi.size
-        size += n + 16 + float(np.abs(scale).max())
-    log_value = lead + log_b
-    size += abs(log_value)
-    with np.errstate(over="ignore"):  # _in_float_range reports an infinite value
+    # _in_float_range reports an infinite value, and a NaN one: a B <= 0 (an
+    # interpolant that oscillates below 0) makes the run NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for pieces, em, lfm, eu, lfu, sigma, p in steps:
+            geometry = _geometry(n, below, pieces, em, lfm, eu, lfu)
+            lpsi = -sigma * geometry.lz
+            lpsi += log_b if below is None else _interpolate(scale, coeffs, geometry)
+            scale, coeffs, log_b = _antiderivative(lpsi.reshape(pieces + 1, n), p)
+            below = pieces
+            formed += lpsi.size
+            size += n + 16 + float(np.abs(scale).max())
+        log_value = lead + log_b
+        size += abs(log_value)
         value = float(np.exp(log_value))
     return value, formed, 2.0 * size * _EPS * value
 
@@ -419,7 +438,8 @@ def _antiderivative(lpsi: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, f
         carried[i] = beta * rise[i]  # B(2^-(i+1)) e^-scale[i]
         beta = carried[i] * half + tops[i]
     coeffs[:-1] = up[:, :n] + np.multiply.outer(carried, edge)
-    return scale, coeffs, float(scale[0]) + math.log(beta)
+    # a beta <= 0 comes from an interpolant that oscillates below 0: the run is NaN (_chain)
+    return scale, coeffs, float(scale[0]) + (math.log(beta) if beta > 0.0 else math.nan)
 
 
 def _interpolate(scale: np.ndarray, coeffs: np.ndarray, geometry: _Geometry) -> np.ndarray:
@@ -454,7 +474,10 @@ def eval_numeric(
     node cap and the bound range bound the work: a run forms at most
     64 (r - 1) (P + 1) node values, with P <= 2,000 pieces per step.
     Depths >= 2 need every lower bound in [1e-300, 1e300], and a value that
-    is a finite normal float (_in_float_range); DomainError otherwise.
+    is a finite normal float (_in_float_range); DomainError otherwise.  The
+    step matrices take 64 + weight - r - 1 Fejer points at most (_step),
+    and a target that needs more than _MAX_FEJER = 4,096 raises
+    CapacityError.
     Results are memoized per (bounds, exponents): a stored result serves
     every tol at or above its error estimate if it converged, else at or
     above the tol it was computed at, and is converged when its estimate
@@ -487,10 +510,14 @@ def _in_float_range(result: NumericResult) -> NumericResult:
 
     The numeric route forms its values at depth >= 2 in logarithms, and exp
     leaves the float range silently: above it the value is infinite, below
-    it a subnormal or 0 whose lost digits no estimate counts.
+    it a subnormal or 0 whose lost digits no estimate counts.  A NaN value
+    or estimate comes from a run whose interpolant of B went nonpositive
+    (_antiderivative, _interpolate).
     """
-    if not abs(result.value) <= sys.float_info.max:
+    if math.isinf(result.value):
         raise DomainError("the value exceeds the float range of the numeric route")
+    if math.isnan(result.error_estimate):  # so is the estimate of a NaN value
+        raise DomainError("the chain's interpolant went nonpositive: the exponents vary too fast across its pieces")
     if abs(result.value) < sys.float_info.min:
         raise DomainError("the value lies below the normal float range of the numeric route")
     return result
@@ -614,62 +641,38 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) ->
 
 
 # The exp-sinh rule of integrate_semi_infinite.
-_MAX_POINTS = 1 << 28  # integrand points per call; a call that would pass it stops
-_MAX_LEVEL = 11  # finest step h = 2^-11, so the rule has under 2^15 nodes
-_S_START, _S_STEP, _S_CAP = 3.0, 0.5, 7.0  # node range in s: start, growth, |s| cap
+_S_START, _S_STEP, _S_CAP = 3, 0.5, 7  # node range in s: start, growth, |s| cap
 _ROUND = 1e-13  # relative rounding allowance of a value
 
 
 @functools.cache
-def _exp_sinh_nodes(level: int) -> tuple:
-    """The exp-sinh map's node arrays at step h = 2^-level, over s = n h,
-    |n| <= _S_CAP / h: pi sinh s, log(pi cosh s), E = exp(pi sinh s) and
-    pi cosh s, computed on first use and kept read-only for the process; E
-    overflows beyond s ~ 6.1."""
-    h = 0.5**level
-    cap = round(_S_CAP / h)
-    s = np.arange(-cap, cap + 1) * h
-    ps, pc = np.pi * np.sinh(s), np.pi * np.cosh(s)
+def _exp_sinh_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exp-sinh map's node arrays at step h = 1/n, over s = i h,
+    |i| <= _S_CAP n: E = exp(pi sinh s) and pi cosh s, computed on first use
+    and kept read-only for the process; E overflows beyond s ~ 6.1."""
+    s = np.arange(-_S_CAP * n, _S_CAP * n + 1) / n
+    pc = np.pi * np.cosh(s)
     with np.errstate(over="ignore"):
-        e = np.exp(ps)
-    cols = ps, np.log(pc), e, pc
-    for col in cols:
-        col.flags.writeable = False
-    return cols
+        e = np.exp(np.pi * np.sinh(s))
+    e.flags.writeable = pc.flags.writeable = False
+    return e, pc
 
 
-def _end(m: list, h: float, share: float, room: int) -> tuple[float | None, int]:
-    """Tail bound beyond the end node of the rule, and how many nodes to add
-    (> 0) or drop (< 0) at that end; m is the weighted integrand values from
-    that end inward, and room is how many nodes may still be added.
+def _tail(m: Sequence[float], n: int) -> float | None:
+    """Bound on the terms beyond the end node of an exp-sinh sum at step
+    1/n, m its weighted integrand values from that end inward.
 
-    Over the last half unit of s (k nodes) the end value fell by a per-node
-    ratio rho; the decay is double-exponential, so the omitted nodes sum to
-    at most last * rho / (1 - rho).  A tail that does not fall is unbounded
-    (None).  Only nodes of the falling run are dropped, while they and the
-    tail stay below share / 16, keeping k falling nodes behind the new end.
+    Over the last half unit of s (k nodes) the end's size fell by a per-node
+    ratio rho; the decay is double-exponential, so the omitted terms sum to
+    at most last * rho / (1 - rho).  A tail that does not fall, or falls by
+    too little for rho to round below 1, is unbounded (None).
     """
-    k = min(len(m) - 1, max(1, round(0.5 / h)))
-    last, back = m[0], m[k]
-    rho = (last / back) ** (1.0 / k) if back > last else 1.0
+    k = min(len(m) - 1, n // 2)
+    last, back = abs(float(m[0])), abs(float(m[k]))
     if last == 0.0:
-        tail = 0.0
-    elif rho < 1.0:
-        tail = last * rho / (1.0 - rho)
-    else:
-        tail = None  # the end does not fall, or by too little for rho to round below 1
-    if tail is None or tail > share:
-        return tail, min(room, round(_S_STEP / h))
-    # Node n may go when the steps from the end through node n + k all fall
-    # and tail + m[0] + ... + m[n] (summed from the end) stays within share / 16.
-    n, summed = 0, 0.0
-    if all(m[t + 1] > m[t] for t in range(k)):
-        while n + k + 1 < len(m) and m[n + k + 1] > m[n + k]:
-            more = summed + m[n]
-            if tail + more > share / 16.0:
-                break
-            n, summed = n + 1, more
-    return (tail + summed if n > 0 else tail), -n
+        return 0.0
+    rho = (last / back) ** (1.0 / k) if back > last else 1.0
+    return last * rho / (1.0 - rho) if rho < 1.0 else None
 
 
 def integrate_semi_infinite(
@@ -680,98 +683,68 @@ def integrate_semi_infinite(
 
     The exp-sinh rule (_adaptive_unit) maps x = lower + sigma E,
     E = exp(pi sinh s), sigma = max(1, |lower|), whose Jacobian is
-    sigma pi cosh s E; f receives flat 1-D arrays of x.  The estimate is
-    |I_h - I_2h| + end tails + 1e-13 |I_h|, and a call stops unconverged at
-    _MAX_POINTS evaluations.  An integrand that decays so slowly that the
-    node range grows past s ~ 6.1, where E overflows, raises DomainError
-    rather than counting those nodes as 0.  So does a lower bound that is
-    not a finite float, and a run whose value and estimate are both 0: every
-    integrand value it saw was 0 (barring exact cancellation), which an
-    integral that underflowed, such as x^-2 from 1e300, gives as well as one
-    that is 0.
+    sigma pi cosh s E; f receives flat 1-D arrays of x.  The doubling driver
+    that the chain uses (_doubling) sums the rule at steps h = 1/n, n = 8,
+    16, ... up to 64, and returns v_2n with the estimate |v_2n - v_n| plus
+    the end tails and 1e-13 |v_2n| of that sum.  A call evaluates f at most
+    17 (14 (8 + 16 + 32 + 64) + 4) = 28,628 times.  An integrand that decays
+    so slowly that the node range grows past s ~ 6.1, where E overflows,
+    raises DomainError rather than counting those nodes as 0.  So does a
+    lower bound that is not a finite float, and a run whose value and
+    estimate are both 0: every integrand value it saw was 0 (barring exact
+    cancellation), which an integral that underflowed, such as x^-2 from
+    1e300, gives as well as one that is 0.
     """
     lower = float(lower)
     if not math.isfinite(lower):
         raise DomainError(f"the lower bound must be finite, got {lower}")
-    result = _adaptive_unit(f, lower, _tolerance(tol, 1))
+    tol = _tolerance(tol, 1)
+    result = _doubling(lambda n: _adaptive_unit(f, lower, n, tol / 16), tol)
     if result.value == 0.0 and result.error_estimate == 0.0:
         raise DomainError("every integrand value was 0: the integral underflowed or is 0, which the rule cannot tell")
     return result
 
 
-def _adaptive_unit(f: Callable[[np.ndarray], np.ndarray], lower: float, tol: float) -> NumericResult:
-    """The exp-sinh level loop of integrate_semi_infinite.
+def _adaptive_unit(
+    f: Callable[[np.ndarray], np.ndarray], lower: float, n: int, share: float
+) -> tuple[float, int, float]:
+    """One exp-sinh sum of integrate_semi_infinite at step h = 1/n: (value,
+    evaluations, allowance = end tails + _ROUND |value|).
 
-    h halves from 1/2 down to 2^-_MAX_LEVEL; a level sums the weighted
-    integrand over s = n h inside a node range.  The range starts at
-    |s| <= 3; on the first level it grows by half a unit (up to |s| <= 7)
-    while an end's tail (_end) exceeds tol / 16, on later levels while a
-    tail is unbounded, and between levels it sheds end nodes far below that
-    share.  An integrand value of 0 contributes 0, also where the weight
-    overflows.  The run stops at the first level whose estimate
-    |I_h - I_2h| + tails + _ROUND |I_h| is <= tol; it stops unconverged once
-    the rule part is within the rounding part, once tol is below rounding
-    at a level that did not narrow the rule, at the finest step, or before
-    passing _MAX_POINTS points.
+    The node range starts at |s| <= _S_START, and an end grows by _S_STEP
+    while its tail (_tail) is unbounded or above share, up to |s| <= _S_CAP,
+    where an unbounded tail counts as |value|.  So a sum takes at most 17
+    sweeps of at most 14 n + 1 nodes.  An integrand value of 0 contributes
+    0, also where the weight overflows.
 
     perfbench/worker.py traces this name as the 1-D rule layer
     (quad.rule_calls, quad.rule_self_s).
     """
     sigma = max(1.0, abs(lower))
-    lo = hi = round(2 * _S_START)  # nodes below and above s = 0, at h = 1/2
-    share = tol / 16
-    evaluations = points = 0
-    prev = value = error = 0.0
-    prev_rule = math.inf
-    converged = False
-    for level in range(1, _MAX_LEVEL + 1):
-        h = 0.5**level
-        cap = round(_S_CAP / h)
-        if level > 1:
-            lo, hi = 2 * lo, 2 * hi
-            if evaluations + 2 * points > _MAX_POINTS:
-                break
-        while True:
-            _, _, e, pc = (col[cap - lo : cap + hi + 1] for col in _exp_sinh_nodes(level))
-            if not np.isfinite(e).all():
-                raise DomainError(
-                    "the exp-sinh map overflowed before the tail was bounded; "
-                    "the integrand decays too slowly"
-                )
-            with np.errstate(over="ignore", invalid="ignore"):
-                fx = f(lower + sigma * e)
-                m = np.where(fx == 0.0, 0.0, fx * (sigma * pc * e)) * h
-            points = m.size
-            evaluations += points
-            total = float(m.sum())
-            if not math.isfinite(total):
-                raise DomainError("the value exceeds the float range of the numeric route")
-            ms = m.tolist()
-            ends = _end(ms, h, share, cap - lo), _end(ms[::-1], h, share, cap - hi)
-            tails = sum(abs(total) if tail is None else tail for tail, _ in ends)
-            # The first level grows its range until both tails are within
-            # their share; later levels only until both are bounded.
-            grow = [max(move, 0) if tail is None or level == 1 else 0 for tail, move in ends]
-            if not any(grow):
-                break
-            lo, hi = lo + grow[0], hi + grow[1]
-        lo, hi = lo + ends[0][1], hi + ends[1][1]
-        value = total
-        if level == 1:
-            error = abs(total) + tails
-        else:
-            rule = abs(total - prev) + tails
-            error = rule + _ROUND * abs(total)
-            if error <= tol:
-                converged = True
-                break
-            if rule <= _ROUND * abs(total):
-                break  # rounding alone misses tol; a finer step cannot help
-            if tol < _ROUND * (abs(total) - rule) and rule >= prev_rule:
-                break  # no level can meet tol, and this one did not narrow the rule
-            prev_rule = rule
-        prev = total
-    return NumericResult(value, error, evaluations, converged)
+    e_all, pc_all = _exp_sinh_nodes(n)
+    cap, step = _S_CAP * n, round(_S_STEP * n)
+    lo = hi = _S_START * n  # nodes below and above s = 0
+    evaluations = 0
+    while True:
+        e, pc = e_all[cap - lo : cap + hi + 1], pc_all[cap - lo : cap + hi + 1]
+        if not np.isfinite(e).all():
+            raise DomainError(
+                "the exp-sinh map overflowed before the tail was bounded; "
+                "the integrand decays too slowly"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            fx = f(lower + sigma * e)
+            m = np.where(fx == 0.0, 0.0, fx * (sigma * pc * e)) / n
+        evaluations += m.size
+        total = float(m.sum())
+        if not math.isfinite(total):
+            raise DomainError("the value exceeds the float range of the numeric route")
+        ends = _tail(m, n), _tail(m[::-1], n)
+        grow = [span < cap and (tail is None or tail > share) for span, tail in zip((lo, hi), ends)]
+        if not any(grow):
+            tails = sum(abs(total) if tail is None else tail for tail in ends)
+            return total, evaluations, tails + _ROUND * abs(total)
+        lo, hi = lo + step * grow[0], hi + step * grow[1]
 
 
 def eval_basis_generator(
