@@ -71,14 +71,15 @@ small (_adaptive_unit).
 
 Results that miss their tolerance are flagged, never silently truncated.
 The values of eval_numeric at depth >= 2 leave through one float-range check
-(_in_float_range): a value above the float range, below its least normal
-number (an exp that underflowed), or NaN (an interpolant of the chain that
-went nonpositive), raises DomainError rather than pass as exact.  The two
-zeta routes share one memo: a stored result serves every tolerance at or
-above its error estimate if it converged, else every tolerance at or above
-the one it was computed at, and a served result is converged when its
-estimate meets the request.  A tolerance is a finite positive number
-(check_tolerance).
+(_in_float_range): a value above the float range, or below its least normal
+number (an exp that underflowed), raises DomainError rather than pass as
+exact.  So does a call any of whose runs forms a B that is not positive
+(_antiderivative): that interpolant oscillated below 0, and the runs that
+did not may agree on a value that is just as wrong.  The two zeta routes
+share one memo: a stored result serves every tolerance at or above its
+error estimate if it converged, else every tolerance at or above the one it
+was computed at, and a served result is converged when its estimate meets
+the request.  A tolerance is a finite positive number (check_tolerance).
 """
 
 from __future__ import annotations
@@ -397,8 +398,8 @@ def _chain(plan: tuple, n: int) -> tuple[float, int, float]:
     steps, log_b, lead, size = plan
     formed = 0
     below = None
-    # _in_float_range reports an infinite value, and a NaN one: a B <= 0 (an
-    # interpolant that oscillates below 0) makes the run NaN
+    # _in_float_range reports an infinite value, and _antiderivative a B <= 0
+    # or NaN (the log of an interpolant that oscillates below 0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for pieces, em, lfm, eu, lfu, sigma, p in steps:
             geometry = _geometry(n, below, pieces, em, lfm, eu, lfu)
@@ -420,7 +421,9 @@ def _antiderivative(lpsi: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, f
     log B(1)), with B = e^scale[i] sum_m coeffs[i, m] T_m on piece i.
 
     beta_i = B(2^-i) e^-scale[i] runs from the bottom piece up: B(2a) =
-    B(a) 2^-(p+1) + e^scale F(2), each term positive (_step).
+    B(a) 2^-(p+1) + e^scale F(2), each term positive (_step).  DomainError
+    if B(1) is not positive, which only an interpolant that oscillated below
+    0 gives (ROADMAP item 2).
     """
     pieces, n = lpsi.shape[0] - 1, lpsi.shape[1]
     graded, bottom, edge = _step(n, p)
@@ -438,8 +441,9 @@ def _antiderivative(lpsi: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, f
         carried[i] = beta * rise[i]  # B(2^-(i+1)) e^-scale[i]
         beta = carried[i] * half + tops[i]
     coeffs[:-1] = up[:, :n] + np.multiply.outer(carried, edge)
-    # a beta <= 0 comes from an interpolant that oscillates below 0: the run is NaN (_chain)
-    return scale, coeffs, float(scale[0]) + (math.log(beta) if beta > 0.0 else math.nan)
+    if not beta > 0.0:  # or NaN: an interpolant of this step or the last oscillated below 0
+        raise DomainError("the chain's interpolant went nonpositive: the exponents vary too fast across its pieces")
+    return scale, coeffs, float(scale[0]) + math.log(beta)
 
 
 def _interpolate(scale: np.ndarray, coeffs: np.ndarray, geometry: _Geometry) -> np.ndarray:
@@ -474,7 +478,8 @@ def eval_numeric(
     node cap and the bound range bound the work: a run forms at most
     64 (r - 1) (P + 1) node values, with P <= 2,000 pieces per step.
     Depths >= 2 need every lower bound in [1e-300, 1e300], and a value that
-    is a finite normal float (_in_float_range); DomainError otherwise.  The
+    is a finite normal float (_in_float_range); DomainError otherwise, and
+    also if any run forms a B that is not positive (_antiderivative).  The
     step matrices take 64 + weight - r - 1 Fejer points at most (_step),
     and a target that needs more than _MAX_FEJER = 4,096 raises
     CapacityError.
@@ -510,14 +515,10 @@ def _in_float_range(result: NumericResult) -> NumericResult:
 
     The numeric route forms its values at depth >= 2 in logarithms, and exp
     leaves the float range silently: above it the value is infinite, below
-    it a subnormal or 0 whose lost digits no estimate counts.  A NaN value
-    or estimate comes from a run whose interpolant of B went nonpositive
-    (_antiderivative, _interpolate).
+    it a subnormal or 0 whose lost digits no estimate counts.
     """
-    if math.isinf(result.value):
+    if not abs(result.value) <= sys.float_info.max:
         raise DomainError("the value exceeds the float range of the numeric route")
-    if math.isnan(result.error_estimate):  # so is the estimate of a NaN value
-        raise DomainError("the chain's interpolant went nonpositive: the exponents vary too fast across its pieces")
     if abs(result.value) < sys.float_info.min:
         raise DomainError("the value lies below the normal float range of the numeric route")
     return result
