@@ -29,7 +29,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .compositions import Composition, ShiftedCMZV
+from .compositions import DEFAULT_DEPTH_CAP, Composition, ShiftedCMZV
 from .errors import CmzvError
 from .etaspace import sum_formula_lhs_terms, sum_formula_rhs
 from .poles import pole_hyperplanes
@@ -44,7 +44,7 @@ _FORMATS = ("table", "json", "csv")
 # type, and default when neither a flag nor the variable sets it.
 _SHARED = (
     ("tol", float, None),
-    ("depth_cap", int, 6),
+    ("depth_cap", int, DEFAULT_DEPTH_CAP),
     ("step_budget", int, 10_000),
     ("format", str, "table"),
     ("seed", int, 0),
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol", type=float, help="absolute tolerance (default: per-depth heuristic)"
     )
-    common.add_argument("--depth-cap", type=int, help="maximum depth accepted (default 6)")
+    common.add_argument("--depth-cap", type=int, help=f"maximum depth accepted (default {DEFAULT_DEPTH_CAP})")
     common.add_argument(
         "--step-budget", type=int,
         help="maximum distinct terms a reduction rewrites; a term memoized by an "

@@ -134,6 +134,11 @@ def as_target(target: ShiftedCMZV | Composition | Sequence[int]) -> ShiftedCMZV:
     return ShiftedCMZV((Fraction(1),) * len(target), target)
 
 
+# The depth cap of every route, suite and CLI command that is given none;
+# admissible_target is its one check.
+DEFAULT_DEPTH_CAP = 6
+
+
 def admissible_target(target: ShiftedCMZV | Composition | Sequence[int], depth_cap: int) -> ShiftedCMZV:
     """as_target(target), checked for every route: DivergenceError if the
     integral diverges, CapacityError if its depth exceeds depth_cap."""
@@ -244,15 +249,19 @@ def compositions_of(total: int) -> Iterator[Composition]:
     return map(Composition, _parts_of(total))
 
 
-def _parts_of(total: int) -> Iterator[tuple[int, ...]]:
+def _parts_of(total: int, max_depth: int | None = None) -> Iterator[tuple[int, ...]]:
     """The parts tuples of compositions_of(total), in its order, unchecked
-    and without building a Composition."""
+    and without building a Composition; with max_depth, only those of at
+    most max_depth parts, pruned in the search rather than filtered, so the
+    work grows with the tuples yielded, not with 2^(total - 1)."""
     if total < 1:
         raise DomainError(f"need a positive total, got {total}")
 
     def rec(rest: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if rest == 0:
             yield tuple(acc)
+            return
+        if max_depth is not None and len(acc) >= max_depth:
             return
         for first in range(1, rest + 1):
             acc.append(first)

@@ -36,14 +36,15 @@ difference.  B(phi(w')) is read off B's Chebyshev coefficients on the piece
 holding phi(w'), which phi reaches in logarithms with the powers of 2
 carried as integers (_chain).
 
-A process keeps what depends on node counts and bounds alone, never a
-result: the Chebyshev nodes and coefficient matrix per n (_chebyshev), the
-antiderivative matrices per (n, p) (_step), the geometry memo of the chain's
-step shapes (_geometry: the points phi(w'), their pieces and the Chebyshev
-basis there, per (n, pieces, ratios of the bounds), capped at _MAX_GEOMETRY
-elements and emptied when an insert would pass the cap), the unit cube's
-step matrix per n (_cube_step) and the exp-sinh nodes per n
-(_exp_sinh_nodes).  clear_caches drops the results alone.
+A process keeps three memos, each a memo.Memo with a constant cap, which
+a store that would pass it empties first: the results of both zeta routes
+(_RESULTS, 2^14 entries, below), the chain's step shapes (_GEOMETRY: the
+points phi(w'), their pieces and the Chebyshev basis there, per (n, pieces,
+ratios of the bounds)) and its antiderivative matrices per (n, p) (_STEPS),
+2^17 array elements each.  The tables keyed by n alone, at most four each,
+stay functools.cache: the Chebyshev nodes and coefficient matrix
+(_chebyshev), the unit cube's step matrix (_cube_step) and the exp-sinh
+nodes (_exp_sinh_nodes).  clear_caches drops the results alone.
 
 All three routes run under one doubling driver (_doubling), with one stop
 rule and one estimate form.  A run at n nodes returns its value, its
@@ -88,15 +89,15 @@ import functools
 import itertools
 import math
 import sys
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .compositions import Composition, ShiftedCMZV, admissible_target
+from .compositions import DEFAULT_DEPTH_CAP, Composition, ShiftedCMZV, admissible_target
 from .errors import CapacityError, DomainError
+from .memo import Memo
 
 @dataclass(frozen=True)
 class NumericResult:
@@ -108,12 +109,7 @@ class NumericResult:
     converged: bool
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "evaluations": self.evaluations,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 _MIN_BOUND, _MAX_BOUND = Fraction(1, 10**300), Fraction(10**300)  # lower bounds at depth >= 2
@@ -138,31 +134,30 @@ def _tolerance(tol: float | None, depth: int) -> float:
     return default_tolerance(depth) if tol is None else check_tolerance(tol)
 
 
-# One memo for both routes, keyed (bounds, parts) or ("cube", r).  Each
-# entry holds its result and the least tolerance that result serves: its
-# error estimate if it converged, else the tolerance it was computed at.
-_cache: dict[tuple, tuple[float, NumericResult]] = {}
-_cache_lock = threading.Lock()
+# One memo for both routes, keyed (bounds, parts) or ("cube", r), of 2^14
+# entries at most (about 0.5 KB each).  Each entry is the least tolerance
+# its result serves, then the result: its error estimate if it converged,
+# else the tolerance it was computed at.
+_RESULTS = Memo(1 << 14)
 
 
 def clear_caches() -> None:
     """Drop memoized numeric results (mainly for benchmarking in tests)."""
-    with _cache_lock:
-        _cache.clear()
+    _RESULTS.clear()
 
 
 def _memoized(key: tuple, tol: float, run: Callable[[float], NumericResult]) -> NumericResult:
-    """The stored result for key if it serves tol, else run(tol), which is
-    stored if it serves more tolerances than the entry.
+    """The result stored in _RESULTS for key if it serves tol, else run(tol),
+    which replaces the entry if it serves more tolerances.
 
     A result that converged serves every tol at or above its error
     estimate, which is at most the tolerance it was computed at; one that
     did not converge serves only tolerances at or above its own.  A hit is
     converged exactly when its estimate meets tol, so the answer does not
-    depend on which request came first.
+    depend on which request came first.  An entry the memo's cap dropped is
+    computed again.
     """
-    with _cache_lock:
-        hit = _cache.get(key)
+    hit = _RESULTS.get(key)
     if hit is not None and hit[0] <= tol:
         result = hit[1]
         if not result.converged and result.error_estimate <= tol:
@@ -170,10 +165,7 @@ def _memoized(key: tuple, tol: float, run: Callable[[float], NumericResult]) -> 
         return result
     result = run(tol)
     serves = result.error_estimate if result.converged else tol
-    with _cache_lock:
-        prev = _cache.get(key)
-        if prev is None or serves < prev[0]:
-            _cache[key] = (serves, result)
+    _RESULTS.put(key, (serves, result), replaces=lambda prev: serves < prev[0])
     return result
 
 
@@ -206,6 +198,11 @@ _EPS = 2.0**-53  # unit roundoff
 _BLOCK = 1 << 15  # elements of one interpolation temporary
 _STEP_BLOCK = 1 << 20  # elements of one temporary of _step
 _MAX_FEJER = 1 << 12  # Fejer points n + p of a step: the largest p is weight - depth - 1
+# The chain's tables, for every run in the process: the step matrices per
+# (n, p) (_step) and the geometries of the step shapes (_geometry).  Each
+# memo holds 2^17 array elements at most; a step at n = 64 is about 8,400.
+_STEPS = Memo(1 << 17)
+_GEOMETRY = Memo(1 << 17)
 
 
 @functools.cache
@@ -224,10 +221,9 @@ def _basis(xhat: np.ndarray, n: int) -> np.ndarray:
     return np.cos(np.multiply.outer(np.arccos(np.clip(xhat, -1.0, 1.0)), np.arange(n)))
 
 
-@functools.cache
 def _step(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The matrices of one antiderivative step at n nodes and power p,
-    built on first use and kept for the process: (graded, bottom, edge).
+    """The matrices of one antiderivative step at n nodes and power p:
+    (graded, bottom, edge), (2n + 3) n elements, kept in _STEPS.
 
     On [lo, lo + 1], lo = 1 (graded) or 0 (bottom), the matrix maps the
     values of psi at the nodes to the Chebyshev coefficients of
@@ -242,6 +238,9 @@ def _step(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     most, so the memory does not grow with p; m <= 84 (n <= 64, p <= 20)
     is one block.
     """
+    hit = _STEPS.get((n, p))
+    if hit is not None:
+        return hit
     nodes, to_coeffs = _chebyshev(n)
     m = n + p
     j = np.arange(1, m // 2 + 1)
@@ -256,9 +255,10 @@ def _step(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             s = lo + np.multiply.outer(ends - lo, fejer)
             w = ((ends - lo) / ends)[:, None] * weights * (s / ends[:, None]) ** p
             g += np.einsum("iq,iqk->ik", w, _basis(2.0 * (s - lo) - 1.0, n))
-    matrices = [np.vstack((to_coeffs @ g[:n], g[n:])) @ to_coeffs for g in f]
+    graded, bottom = (np.vstack((to_coeffs @ g[:n], g[n:])) @ to_coeffs for g in f)
     edge = to_coeffs @ (1.5 + 0.5 * nodes) ** -(p + 1)
-    return *matrices, edge
+    _STEPS.put((n, p), (graded, bottom, edge), (2 * n + 3) * n)
+    return graded, bottom, edge
 
 
 class _Geometry(NamedTuple):
@@ -271,23 +271,6 @@ class _Geometry(NamedTuple):
     size: int  # the elements of lz, piece and the basis
 
 
-# The geometry memo: the geometry of each step shape, for every chain run in
-# the process.  It holds no results, only points; an insert that would pass
-# _MAX_GEOMETRY elements empties it first.
-_MAX_GEOMETRY = 1 << 17
-_GEOMETRY: dict[tuple, _Geometry] = {}
-_geometry_held = 0  # the elements of the geometries in _GEOMETRY
-_geometry_lock = threading.Lock()
-
-
-def _clear_geometry() -> None:
-    """Empty the geometry memo, so that the next runs build every step."""
-    global _geometry_held
-    with _geometry_lock:
-        _GEOMETRY.clear()
-        _geometry_held = 0
-
-
 def _geometry(n: int, below: int | None, pieces: int, em: int, lfm: float, eu: int, lfu: float) -> _Geometry:
     """The geometry of a step of the chain at n nodes per piece: psi_{j-1}
     on pieces + 1 pieces (the nodes w' = 2^-q x, the bottom piece last) and
@@ -297,13 +280,12 @@ def _geometry(n: int, below: int | None, pieces: int, em: int, lfm: float, eu: i
     The point phi(w') = 2^-(q - eu) e^lt, lt = lfu + log x - lz, lies on
     psi_j's piece i, where it is x^ in [-1, 1], and the basis is
     T_0, ..., T_{n-1} at x^.  A geometry of (pieces + 1) n (n + 2) elements
-    at most _MAX_GEOMETRY is stored in the memo and kept read-only; a larger
-    one is built for its run alone and yields its basis block by block.
+    at most the cap of _GEOMETRY is stored there and kept read-only; a
+    larger one is built for its run alone and yields its basis block by
+    block.
     """
-    global _geometry_held
     key = n, below, pieces, em, lfm, eu, lfu
-    with _geometry_lock:
-        hit = _GEOMETRY.get(key)
+    hit = _GEOMETRY.get(key)
     if hit is not None:
         return hit
     nodes, _ = _chebyshev(n)
@@ -325,17 +307,12 @@ def _geometry(n: int, below: int | None, pieces: int, em: int, lfm: float, eu: i
     rows = max(1, _BLOCK // n)
     blocks = ((slice(a, a + rows), _basis(xhat[a : a + rows], n)) for a in range(0, xhat.size, rows))
     geometry = _Geometry(lz.ravel(), piece, blocks, lz.size + piece.size * (n + 1))
-    if geometry.size > _MAX_GEOMETRY:
+    if geometry.size > _GEOMETRY.cap:
         return geometry
     geometry = geometry._replace(blocks=tuple(blocks))
     for a in (geometry.lz, piece, *(basis for _, basis in geometry.blocks)):
         a.flags.writeable = False
-    with _geometry_lock:
-        if _geometry_held + geometry.size > _MAX_GEOMETRY:
-            _GEOMETRY.clear()
-            _geometry_held = 0
-        if _GEOMETRY.setdefault(key, geometry) is geometry:
-            _geometry_held += geometry.size
+    _GEOMETRY.put(key, geometry, geometry.size)
     return geometry
 
 
@@ -461,7 +438,7 @@ def _interpolate(scale: np.ndarray, coeffs: np.ndarray, geometry: _Geometry) -> 
 def eval_numeric(
     target: ShiftedCMZV | Composition | Sequence[int],
     tol: float | None = None,
-    depth_cap: int = 6,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> NumericResult:
     """Numeric value of an admissible iterated tail integral.
 
@@ -483,10 +460,10 @@ def eval_numeric(
     step matrices take 64 + weight - r - 1 Fejer points at most (_step),
     and a target that needs more than _MAX_FEJER = 4,096 raises
     CapacityError.
-    Results are memoized per (bounds, exponents): a stored result serves
-    every tol at or above its error estimate if it converged, else at or
-    above the tol it was computed at, and is converged when its estimate
-    meets tol.
+    Results are memoized per (bounds, exponents), 2^14 at most (_memoized):
+    a stored result serves every tol at or above its error estimate if it
+    converged, else at or above the tol it was computed at, and is converged
+    when its estimate meets tol.
     """
     t = admissible_target(target, depth_cap)
     tol = _tolerance(tol, t.depth)
@@ -593,7 +570,7 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prev, p
 
 
-def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = 6) -> NumericResult:
+def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = DEFAULT_DEPTH_CAP) -> NumericResult:
     """Unit-cube form of the all-ones-then-2 value at depth r >= 2:
 
         zeta_C(1, ..., 1, 2)  (r-1 ones)
@@ -749,7 +726,7 @@ def _adaptive_unit(
 
 
 def eval_basis_generator(
-    ids: Sequence[Fraction | int], tol: float | None = None, depth_cap: int = 6
+    ids: Sequence[Fraction | int], tol: float | None = None, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> NumericResult:
     """Numeric value of the basis generator B(ids) = zeta_{ids}(1, ..., 1, 2),
     the tail integral with lower bounds ids and exponents (1, ..., 1, 2)."""

@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .compositions import (
+    DEFAULT_DEPTH_CAP,
     Composition,
     ShiftedCMZV,
     admissible_target,
@@ -60,6 +60,7 @@ from .compositions import (
 )
 from .errors import CapacityError, DivergenceError, DomainError, RewriteError
 from .linear import normal_form
+from .memo import Memo
 
 Factor = tuple[int, Fraction, int]  # (index, shift, exponent)
 _ZERO = Fraction(0)
@@ -511,18 +512,16 @@ def depth2_closed_form(m1: Fraction | int, m2: Fraction | int) -> SymbolicConsta
 
 
 # The term memo: the value of each finished term, keyed by the term, for
-# every reduction in the process.  A call that succeeds merges its terms in;
-# a merge past _MAX_TERMS empties it first.
-_MAX_TERMS = 1 << 14
-_TERMS: dict[GenTerm, SymbolicConstant] = {}
-_reduce_lock = threading.Lock()
+# every reduction in the process, 2^14 terms at most.  A call that succeeds
+# stores the terms it rewrote; one that raises stores nothing.
+_TERMS = Memo(1 << 14)
 
 
 def clear_caches() -> None:
-    """Empty the term memo, so that the next reduction starts cold and its
-    step budget counts every term it needs, not only the ones not memoized."""
-    with _reduce_lock:
-        _TERMS.clear()
+    """Empty the term memo (a memo.Memo), so that the next reduction starts
+    cold and its step budget counts every term it needs, not only the ones
+    not memoized."""
+    _TERMS.clear()
 
 
 def _split_multi_factor(t: GenTerm) -> tuple[list[tuple[Fraction, GenTerm]], SymbolicConstant]:
@@ -602,7 +601,7 @@ def reduce_to_basis(
     target: ShiftedCMZV | Composition | Sequence[int],
     *,
     step_budget: int = 10_000,
-    depth_cap: int = 6,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> SymbolicConstant:
     """Exact value of an admissible iterated tail integral in the graded basis.
 
@@ -660,11 +659,8 @@ def reduce_to_basis(
         values[t] = resolved
         fresh.append((t, resolved))
 
-    # only the terms rewritten here are merged: hashing a key of Fractions
+    # only the terms rewritten here are stored: hashing a key of Fractions
     # costs more than the rest of a memo hit
-    with _reduce_lock:
-        if len(_TERMS) + len(fresh) > _MAX_TERMS:
-            _TERMS.clear()
-        if len(fresh) <= _MAX_TERMS:
-            _TERMS.update(fresh)
+    for t, value in fresh:
+        _TERMS.put(t, value)
     return values[initial]

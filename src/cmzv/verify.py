@@ -21,18 +21,20 @@ the one policy for checking a weighted sum, in the suites and verify_identity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import quad
 from .compositions import (
+    DEFAULT_DEPTH_CAP,
     Composition,
     ShiftedCMZV,
-    admissible_compositions,
+    _parts_of,
     as_target,
     composition_from_word,
     convergence_bound,
+    is_admissible,
     word_from_composition,
 )
 from .errors import DomainError
@@ -52,13 +54,7 @@ class CheckResult:
     converged: bool = True  # every numeric value the check rests on converged
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 class _Values:
@@ -107,7 +103,7 @@ def verify_identity(
     rhs: Sequence[tuple[ShiftedCMZV | Composition | Sequence[int], Fraction | int]] = (),
     rhs_constant: Fraction | int = 0,
     tol: float | None = None,
-    depth_cap: int = 6,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> dict:
     """Numerically check sum(lhs) == sum(rhs) + rhs_constant.
 
@@ -164,16 +160,19 @@ def reduction_residual(
 
 
 def _compositions(max_weight: int, max_depth: int) -> list[Composition]:
-    """The admissible compositions of weight <= max_weight and depth <= max_depth."""
+    """The admissible compositions of weight <= max_weight and depth <=
+    max_depth, by weight, then lexicographic; the depth prunes the
+    enumeration (compositions._parts_of), so a low cap stays cheap at any
+    weight."""
     return [
         c
         for w in range(2, max_weight + 1)
-        for c in admissible_compositions(w)
-        if c.depth <= max_depth
+        for c in map(Composition, _parts_of(w, max_depth))
+        if is_admissible(c)
     ]
 
 
-def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = 6) -> list:
+def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = DEFAULT_DEPTH_CAP) -> list:
     """Numeric product rule for every unordered pair of admissible words with
     total weight <= max_weight and total depth <= depth_cap."""
 
@@ -200,7 +199,7 @@ def suite_shuffle(max_weight: int = 5, tol: float = 1e-5, depth_cap: int = 6) ->
     return [run(w1, w2) for w1, w2 in pairs]
 
 
-def suite_embedding(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) -> list:
+def suite_embedding(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = DEFAULT_DEPTH_CAP) -> list:
     """One-step depth raising for every admissible composition up to
     max_weight whose raised depth fits depth_cap."""
     from .reduce import depth_embedding
@@ -219,7 +218,7 @@ def suite_embedding(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) 
     return [run(c) for c in comps]
 
 
-def suite_unitcube(max_depth: int = 4, tol: float = 1e-6, depth_cap: int = 6) -> list:
+def suite_unitcube(max_depth: int = 4, tol: float = 1e-6, depth_cap: int = DEFAULT_DEPTH_CAP) -> list:
     """Unit-cube all-ones integral against the semi-infinite form, r = 2..max_depth."""
 
     def run(r):
@@ -231,7 +230,7 @@ def suite_unitcube(max_depth: int = 4, tol: float = 1e-6, depth_cap: int = 6) ->
     return [run(r) for r in range(2, max_depth + 1)]
 
 
-def suite_bounds(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) -> list:
+def suite_bounds(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = DEFAULT_DEPTH_CAP) -> list:
     """Numeric value strictly inside (0, convergence_bound) for every
     admissible composition up to max_weight and depth_cap."""
     comps = _compositions(max_weight, depth_cap)
@@ -252,7 +251,7 @@ def suite_bounds(max_weight: int = 5, tol: float = 1e-6, depth_cap: int = 6) -> 
 def suite_reduction(
     max_weight: int = 5,
     tol: float = 1e-6,
-    depth_cap: int = 6,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
     seed: int = 0,
 ) -> list:
     """Exact reduction vs quadrature for the admissible compositions up to
@@ -307,7 +306,7 @@ def run_suite(
     name: str,
     max_weight: int | None = None,
     tol: float | None = None,
-    depth_cap: int = 6,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
     jobs: int = 1,
     seed: int = 0,
     corrupt: bool = False,

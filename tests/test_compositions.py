@@ -2,6 +2,7 @@
 the one check of each input rule."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from cmzv.reduce import (
     reduce_to_basis,
 )
 from cmzv.shuffle import FormalWordSum, shuffle
-from cmzv.verify import _Values
+from cmzv.verify import _Values, _compositions
 
 
 def test_composition_basics():
@@ -156,6 +157,18 @@ def test_admissible_compositions_counts():
         comps = list(admissible_compositions(w))
         assert len(comps) == 2 ** (w - 2)
         assert all(is_admissible(c) and c.weight == w for c in comps)
+
+
+def test_depth_capped_enumeration_is_the_filtered_one():
+    # the cap prunes the search, so the work no longer doubles with each
+    # weight (weight 26 at cap 2 once took minutes); the order is kept
+    for d in range(7):
+        filtered = [c for w in range(2, 15) for c in admissible_compositions(w) if c.depth <= d]
+        assert _compositions(14, d) == filtered, d
+    t0 = time.monotonic()
+    comps = _compositions(40, 2)
+    assert time.monotonic() - t0 < 0.5
+    assert len(comps) == sum(w - 1 for w in range(2, 41)) and all(c.depth <= 2 for c in comps)
 
 
 # ------------------------------------------------------------ the target

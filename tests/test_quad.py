@@ -18,6 +18,7 @@ import pytest
 from cmzv import quad
 from cmzv.compositions import Composition, admissible_compositions, convergence_bound
 from cmzv.errors import CapacityError, DivergenceError, DomainError
+from cmzv.memo import Memo
 from cmzv.quad import (
     ShiftedCMZV,
     check_tolerance,
@@ -91,11 +92,12 @@ def test_large_first_exponent_matches_digamma(k):
 def test_step_memory_does_not_grow_with_the_power():
     # (20000, 2) once asked for a 1.49 GiB cosine table; the largest step the
     # weight cap admits, p = 4032 at n = 64, builds in blocks
+    quad._STEPS.clear()
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="Fejer points"):
             eval_numeric((20000, 2))
-        quad._step.__wrapped__(64, quad._MAX_FEJER - 64)
+        quad._step(64, quad._MAX_FEJER - 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -406,10 +408,24 @@ def test_clear_caches_empties_both_memos():
     eval_numeric(Composition((1, 1, 2)), tol=1e-6)
     cube = eval_unit_cube_ones(3, tol=1e-6)
     # one memo holds both routes; a hit returns the stored object itself
-    assert set(quad._cache) == {((Fraction(1),) * 3, (1, 1, 2)), ("cube", 3)}
+    assert set(quad._RESULTS.entries) == {((Fraction(1),) * 3, (1, 1, 2)), ("cube", 3)}
     assert eval_unit_cube_ones(3, tol=1e-5) is cube
     quad.clear_caches()
-    assert len(quad._cache) == 0
+    assert len(quad._RESULTS.entries) == 0
+
+
+def test_a_stored_result_is_replaced_only_by_one_that_serves_more(monkeypatch):
+    # a miss that ends after another caller stored a tighter result for the
+    # same key (as threads may) leaves the tighter one in place
+    monkeypatch.setattr(quad, "_RESULTS", Memo(8))
+    tight, loose = quad.NumericResult(1.0, 1e-12, 10, True), quad.NumericResult(1.0, 1e-6, 5, True)
+
+    def run(tol):
+        assert quad._memoized("key", 1e-12, lambda tol: tight) is tight
+        return loose
+
+    assert quad._memoized("key", 1e-5, run) is loose
+    assert quad._memoized("key", 1e-11, run) is tight
 
 
 # Rows computed cold by the nested adaptive Gauss-Kronrod engine that the
@@ -541,6 +557,34 @@ def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1():
         assert np.abs(x - lx).max() <= 2.0**-52 and np.abs(w / lw - 1.0).max() <= 1e-11, n
 
 
+def test_chain_tables_stay_within_their_cap():
+    # each first exponent k needs its own step matrices (p = k - 1 at n = 8
+    # and 16), so these calls once kept 1,998 of them; counted from the arrays
+    for k in range(2, 1001):
+        eval_numeric((k, 2))
+    steps = quad._STEPS
+    assert 0 < sum(a.size for table in steps.entries.values() for a in table) <= steps.held <= steps.cap
+    quad.clear_caches()
+
+
+def test_results_memo_stays_within_its_cap(monkeypatch):
+    targets = [ShiftedCMZV((m, 1), (1, 2)) for m in range(1, 31)]
+    cold = []
+    for t in targets:
+        quad.clear_caches()
+        cold.append(eval_numeric(t, 1e-8))
+    monkeypatch.setattr(quad, "_RESULTS", Memo(8))
+    sizes = []
+    for t, expected in zip(targets, cold):
+        assert eval_numeric(t, 1e-8) == expected, t
+        sizes.append(len(quad._RESULTS.entries))
+        assert sizes[-1] <= quad._RESULTS.held <= 8
+    # a store past the cap emptied the memo, and what it keeps is served
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    last = eval_numeric(targets[-1], 1e-8)
+    assert eval_numeric(targets[-1], 1e-7) is last
+
+
 def test_geometry_memo_is_transparent_and_bounded():
     # the chain's values do not depend on which step shapes the memo holds:
     # cold before each call, warm in one order, warm in the other
@@ -556,20 +600,20 @@ def test_geometry_memo_is_transparent_and_bounded():
         for target, tol in order:
             quad.clear_caches()
             if cold:
-                quad._clear_geometry()
+                quad._GEOMETRY.clear()
             out[target] = eval_numeric(target, tol).to_json()
         return out
 
     def held():
         # counted from the arrays themselves, not from the memo's own sizes
-        return sum(a.size for g in quad._GEOMETRY.values() for a in (g.lz, g.piece, *(b for _, b in g.blocks)))
+        return sum(a.size for g in quad._GEOMETRY.entries.values() for a in (g.lz, g.piece, *(b for _, b in g.blocks)))
 
     expected = values(calls, cold=True)
     # the multi-scale target's steps are mostly too large to store
-    assert held() <= quad._MAX_GEOMETRY
+    assert held() <= quad._GEOMETRY.cap
     assert values(calls, cold=False) == expected
     assert values(calls[::-1], cold=False) == expected
-    assert 0 < held() <= quad._MAX_GEOMETRY
+    assert 0 < held() <= quad._GEOMETRY.cap
 
 
 def test_geometry_memo_under_threads(monkeypatch):
@@ -581,8 +625,7 @@ def test_geometry_memo_under_threads(monkeypatch):
     # a cap this small empties the memo while other runs read from it, and
     # leaves the larger geometries (n = 64, and the far bound's from n = 16)
     # to be built per run; a short switch interval interleaves the threads
-    monkeypatch.setattr(quad, "_MAX_GEOMETRY", 4096)
-    quad._clear_geometry()
+    monkeypatch.setattr(quad, "_GEOMETRY", Memo(4096))
     quad.clear_caches()
     order = list(range(len(targets)))
     random.Random(5).shuffle(order)
@@ -594,8 +637,7 @@ def test_geometry_memo_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == [serial[i] for i in order]
-    assert quad._geometry_held == sum(g.size for g in quad._GEOMETRY.values()) <= 4096
-    quad._clear_geometry()
+    assert quad._GEOMETRY.held == sum(g.size for g in quad._GEOMETRY.entries.values()) <= 4096
 
 
 def test_depth6_default_tolerance_returns_promptly():

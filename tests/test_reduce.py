@@ -34,6 +34,7 @@ from cmzv import (
     sum_formula_rhs,
 )
 from cmzv import reduce as reduce_module
+from cmzv.memo import Memo
 from cmzv.reduce import _factored_log, _ibp_at, _split_multi_factor, clear_caches
 
 F = Fraction
@@ -526,16 +527,16 @@ def test_term_memo_is_order_independent():
 
 
 def test_term_memo_stays_within_its_cap(monkeypatch):
-    monkeypatch.setattr(reduce_module, "_MAX_TERMS", 8)
+    monkeypatch.setattr(reduce_module, "_TERMS", Memo(8))
     inputs = memo_inputs(7)
     random.Random(5).shuffle(inputs)
     clear_caches()
     sizes = []
     for c in inputs[:30]:
         assert reduce_to_basis(c) == plain_stack_reduce(c), c
-        sizes.append(len(reduce_module._TERMS))
+        sizes.append(len(reduce_module._TERMS.entries))
         assert sizes[-1] <= 8, c
-    # entries were stored, and a merge past the cap emptied the memo
+    # entries were stored, and a store past the cap emptied the memo
     assert max(sizes) > 0
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
     clear_caches()
@@ -547,7 +548,7 @@ def test_term_memo_under_threads(monkeypatch):
     serial = [reduce_to_basis(c) for c in inputs]
     # a cap this small empties the memo while other calls are running, and
     # a short switch interval interleaves the threads finely
-    monkeypatch.setattr(reduce_module, "_MAX_TERMS", 16)
+    monkeypatch.setattr(reduce_module, "_TERMS", Memo(16))
     clear_caches()
     order = inputs * 3
     random.Random(3).shuffle(order)
@@ -559,7 +560,7 @@ def test_term_memo_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == [serial[inputs.index(c)] for c in order]
-    assert len(reduce_module._TERMS) <= 16
+    assert len(reduce_module._TERMS.entries) <= 16
     clear_caches()
 
 
@@ -568,11 +569,11 @@ def test_term_memo_hits_cost_no_budget():
     clear_caches()
     with pytest.raises(CapacityError):
         reduce_to_basis(ShiftedCMZV(bounds, c), step_budget=2)
-    assert not reduce_module._TERMS  # a call that raises stores nothing
+    assert not reduce_module._TERMS.entries  # a call that raises stores nothing
     warm = reduce_to_basis(ShiftedCMZV(bounds, c))
     assert reduce_to_basis(ShiftedCMZV(bounds, c), step_budget=2) == warm
     # without the root, only the root is rewritten: its subterms are hits
-    del reduce_module._TERMS[GenTerm.of(ShiftedCMZV(bounds, c))]
+    del reduce_module._TERMS.entries[GenTerm.of(ShiftedCMZV(bounds, c))]
     assert reduce_to_basis(ShiftedCMZV(bounds, c), step_budget=1) == warm
     clear_caches()
 
