@@ -19,14 +19,18 @@ where f is the product of shifted suffix sums, f = prod_j (k_j + ... + k_r
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
 from .compositions import Composition
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .linear import LinearCombination, normal_form
+
+# Left-hand terms one sum formula may enumerate: (12, 24) has 1,352,078.
+_MAX_LHS_TERMS = 1 << 21
 
 
 def _check_basis_key(key: tuple[int, int]) -> tuple[int, int]:
@@ -134,9 +138,13 @@ def sum_formula_lhs_terms(r: int, k: int) -> tuple[tuple[Composition, Fraction],
     Each composition (k_1, ..., k_r) of k contributes the target composition
     (k_1, ..., k_{r-1}, 1 + k_r) with weight f(k_1, ..., k_r).  Zero-weight
     terms are reported too, so callers see the full enumeration.  The domain
-    is sum_formula_rhs's.
+    is sum_formula_rhs's; more than _MAX_LHS_TERMS terms raise CapacityError
+    before any is built.
     """
     _start_exponent(r, k)
+    count = math.comb(k - 1, r - 1)
+    if count > _MAX_LHS_TERMS:
+        raise CapacityError(f"the depth-{r}, weight-{k} sum formula has {count} terms, over the cap {_MAX_LHS_TERMS}")
     out: list[tuple[Composition, Fraction]] = []
     # r-part compositions of k are the (r-1)-subsets of cut points 1..k-1,
     # and lexicographic order on the cuts is lexicographic order on the parts

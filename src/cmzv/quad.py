@@ -39,26 +39,31 @@ carried as integers (_chain).
 A process keeps three memos, each a memo.Memo with a constant cap, which
 a store that would pass it empties first: the results of both zeta routes
 (_RESULTS, 2^14 entries, below), the chain's step shapes (_GEOMETRY: the
-points phi(w'), their pieces and the Chebyshev basis there, per (n, pieces,
-ratios of the bounds)) and its antiderivative matrices per (n, p) (_STEPS),
-2^17 array elements each.  The tables keyed by n alone, at most four each,
-stay functools.cache: the Chebyshev nodes and coefficient matrix
-(_chebyshev), the unit cube's step matrix (_cube_step) and the exp-sinh
-nodes (_exp_sinh_nodes).  clear_caches drops the results alone.
+points phi(w'), their pieces and the Chebyshev basis there, per (node
+counts of a pass, pieces, ratios of the bounds)) and its block-diagonal
+antiderivative matrices per (node counts of a pass, p) (_STEPS), 2^17 array
+elements each.  The tables keyed by n alone, at most four each, stay
+functools.cache: the Chebyshev nodes and coefficient matrix (_chebyshev),
+the unit cube's step matrix (_cube_step) and the exp-sinh nodes
+(_exp_sinh_nodes); so does the column layout of a pass (_columns), one per
+tuple of node counts.  clear_caches drops the results alone.
 
 All three routes run under one doubling driver (_doubling), with one stop
 rule and one estimate form.  A run at n nodes returns its value, its
 evaluations, and an allowance for what the difference of two runs does not
-see: rounding, plus the end tails of the exp-sinh rule.  The driver runs
-n = 8, 16, ... up to 64 and returns v_2n with the estimate |v_2n - v_n| +
-the allowance of v_2n once that is <= tol; it stops unconverged once the
-difference is within the allowance (more nodes cannot narrow the estimate)
-or at n = 64.  For the chain the estimate is a-posteriori: every piece lies
-a fixed ratio of its width away from the singularities, so the interpolants
-converge geometrically in n, and v_n's error dominates v_2n's.  A run of
-the chain forms at most 64 (r - 1) (P + 1) node values of psi (its
-`evaluations`), P <= 2,000, with step matrices of at most _MAX_FEJER Fejer
-points.
+see: rounding, plus the end tails of the exp-sinh rule.  The driver asks a
+route for the runs at n = 8 and 16 in one call, then for 32 and 64 one at
+a time, and returns v_2n with the estimate |v_2n - v_n| + the allowance of
+v_2n once that is <= tol; it stops unconverged once the difference is
+within the allowance (more nodes cannot narrow the estimate) or at n = 64.
+The chain answers the first call with one pass that carries both runs side
+by side in the same arrays, so the two share every array call; the cube
+and the exp-sinh rule answer it with two plain runs.  For the chain the
+estimate is a-posteriori: every piece lies a fixed ratio of its width away
+from the singularities, so the interpolants converge geometrically in n,
+and v_n's error dominates v_2n's.  A run of the chain forms at most
+64 (r - 1) (P + 1) node values of psi (its `evaluations`), P <= 2,000, with
+step matrices of at most _MAX_FEJER Fejer points.
 
 The unit-cube form of zeta(1, ..., 1, 2) takes a route of its own, a
 one-variable Nystrom recursion on [0, 1] (_cube_step, eval_unit_cube_ones),
@@ -112,7 +117,7 @@ class NumericResult:
         return asdict(self)
 
 
-_MIN_BOUND, _MAX_BOUND = Fraction(1, 10**300), Fraction(10**300)  # lower bounds at depth >= 2
+_BOUND_RANGE = 10**300  # lower bounds at depth >= 2 lie in [1 / _BOUND_RANGE, _BOUND_RANGE]
 
 
 def default_tolerance(depth: int) -> float:
@@ -173,23 +178,33 @@ def _memoized(key: tuple, tol: float, run: Callable[[float], NumericResult]) -> 
 _NODES, _MAX_NODES = 8, 64  # node counts n: the first, and the cap
 
 
-def _doubling(run: Callable[[int], tuple[float, int, float]], tol: float) -> NumericResult:
-    """run(n) -> (value, evaluations, allowance) for n = 8, 16, ... until
-    |v_2n - v_n| + the allowance of v_2n is <= tol (converged), the
-    difference is within the allowance, or n = _MAX_NODES; returns v_2n with
-    that estimate and the evaluations of every run.  The allowance is the
-    run's rounding, plus its end tails for the exp-sinh rule."""
-    n = _NODES
-    prev, evaluations, _ = run(n)
+_Run = tuple[float, int, float]  # one run: (value, evaluations, allowance)
+
+
+def _doubling(runs: Callable[[tuple[int, ...]], list[_Run]], tol: float) -> NumericResult:
+    """runs(ns) -> one run (value, evaluations, allowance) per node count in
+    ns.  The driver asks for n = 8 and 16 in one call, then for 32, 64, ...
+    one at a time, until |v_2n - v_n| + the allowance of v_2n is <= tol
+    (converged), the difference is within the allowance, or n = _MAX_NODES;
+    returns v_2n with that estimate and the evaluations of every run.  The
+    allowance is the run's rounding, plus its end tails for the exp-sinh
+    rule."""
+    n = 2 * _NODES
+    (prev, evaluations, _), (total, count, allowance) = runs((_NODES, n))
     while True:
-        n *= 2
-        total, count, allowance = run(n)
         evaluations += count
         diff = abs(total - prev)
         error = diff + allowance
         if error <= tol or diff <= allowance or n == _MAX_NODES:
             return NumericResult(total, error, evaluations, error <= tol)
-        prev = total
+        prev, n = total, 2 * n
+        ((total, count, allowance),) = runs((n,))
+
+
+def _each(run: Callable[[int], _Run]) -> Callable[[tuple[int, ...]], list[_Run]]:
+    """The runs of _doubling as one plain run(n) per node count, for the
+    rules that have no fused pass (the unit cube and the exp-sinh rule)."""
+    return lambda ns: [run(n) for n in ns]
 
 
 # The chain (module docstring).
@@ -198,9 +213,10 @@ _EPS = 2.0**-53  # unit roundoff
 _BLOCK = 1 << 15  # elements of one interpolation temporary
 _STEP_BLOCK = 1 << 20  # elements of one temporary of _step
 _MAX_FEJER = 1 << 12  # Fejer points n + p of a step: the largest p is weight - depth - 1
-# The chain's tables, for every run in the process: the step matrices per
-# (n, p) (_step) and the geometries of the step shapes (_geometry).  Each
-# memo holds 2^17 array elements at most; a step at n = 64 is about 8,400.
+# The chain's tables, for every pass in the process: the step matrices per
+# (node counts, p) (_steps) and the geometries of the step shapes
+# (_geometry).  Each memo holds 2^17 array elements at most; a step at
+# n = 64 is about 8,400, the pair n = 8 and 16 about 1,700.
 _STEPS = Memo(1 << 17)
 _GEOMETRY = Memo(1 << 17)
 
@@ -221,9 +237,45 @@ def _basis(xhat: np.ndarray, n: int) -> np.ndarray:
     return np.cos(np.multiply.outer(np.arccos(np.clip(xhat, -1.0, 1.0)), np.arange(n)))
 
 
+@functools.cache
+def _columns(ns: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of a pass whose runs at the node counts ns lie side by
+    side: x = (1 + node) / 2 in [0, 1] of each run in turn, the run of each
+    column, and the first column of each run."""
+    x = np.concatenate([0.5 + 0.5 * _chebyshev(n)[0] for n in ns])
+    return x, np.repeat(np.arange(len(ns)), ns), np.cumsum((0,) + ns[:-1])
+
+
+def _steps(ns: tuple[int, ...], p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrices of one antiderivative step for the runs at the node
+    counts ns side by side, kept in _STEPS: (graded, bottom, edge), each
+    block-diagonal with one block per run, from _step.
+
+    With s = max(ns) + 1, graded and bottom map the columns of every run
+    (_columns) to the rows b s + m, the coefficient of T_m on run b's piece
+    (a zero row for n_b <= m < s - 1), and b s + s - 1, F(lo + 1) of run b;
+    edge maps a value per run to those rows, run b's to its edge
+    coefficients.
+    """
+    hit = _STEPS.get((ns, p))
+    if hit is not None:
+        return hit
+    runs, span = len(ns), max(ns) + 1
+    graded, bottom = (np.zeros((runs * span, sum(ns))) for _ in range(2))
+    edge = np.zeros((runs, runs * span))
+    for b, (n, first) in enumerate(zip(ns, _columns(ns)[2])):
+        cols = slice(first, first + n)
+        graded_n, bottom_n, edge[b, b * span : b * span + n] = _step(n, p)
+        for table, part in ((graded, graded_n), (bottom, bottom_n)):
+            table[b * span : b * span + n, cols] = part[:n]
+            table[b * span + span - 1, cols] = part[n]
+    _STEPS.put((ns, p), (graded, bottom, edge), graded.size + bottom.size + edge.size)
+    return graded, bottom, edge
+
+
 def _step(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The matrices of one antiderivative step at n nodes and power p:
-    (graded, bottom, edge), (2n + 3) n elements, kept in _STEPS.
+    (graded, bottom, edge), (2n + 3) n elements.
 
     On [lo, lo + 1], lo = 1 (graded) or 0 (bottom), the matrix maps the
     values of psi at the nodes to the Chebyshev coefficients of
@@ -238,9 +290,6 @@ def _step(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     most, so the memory does not grow with p; m <= 84 (n <= 64, p <= 20)
     is one block.
     """
-    hit = _STEPS.get((n, p))
-    if hit is not None:
-        return hit
     nodes, to_coeffs = _chebyshev(n)
     m = n + p
     j = np.arange(1, m // 2 + 1)
@@ -256,43 +305,45 @@ def _step(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             w = ((ends - lo) / ends)[:, None] * weights * (s / ends[:, None]) ** p
             g += np.einsum("iq,iqk->ik", w, _basis(2.0 * (s - lo) - 1.0, n))
     graded, bottom = (np.vstack((to_coeffs @ g[:n], g[n:])) @ to_coeffs for g in f)
-    edge = to_coeffs @ (1.5 + 0.5 * nodes) ** -(p + 1)
-    _STEPS.put((n, p), (graded, bottom, edge), (2 * n + 3) * n)
-    return graded, bottom, edge
+    return graded, bottom, to_coeffs @ (1.5 + 0.5 * nodes) ** -(p + 1)
 
 
 class _Geometry(NamedTuple):
     """The points of one step of the chain, which depend on its step shape
-    alone, never on the exponents or on psi (_geometry)."""
+    and node counts alone, never on the exponents or on psi (_geometry)."""
 
     lz: np.ndarray  # log(1 + m_j w' / U_{j-1}) at the nodes w' of psi_{j-1}
-    piece: np.ndarray  # the piece of psi_j holding phi(w'); empty at the first step
-    blocks: Iterable[tuple[slice, np.ndarray]]  # (rows, T_0..T_{n-1} at their x^), each of at most _BLOCK elements
+    piece: np.ndarray  # the row i len(ns) + b of psi_j's piece i in run b holding phi(w'); empty at the first step
+    blocks: Iterable[tuple[slice, np.ndarray]]  # (rows, T_0..T_{w-1} at their x^), each of at most _BLOCK elements
     size: int  # the elements of lz, piece and the basis
 
 
-def _geometry(n: int, below: int | None, pieces: int, em: int, lfm: float, eu: int, lfu: float) -> _Geometry:
-    """The geometry of a step of the chain at n nodes per piece: psi_{j-1}
-    on pieces + 1 pieces (the nodes w' = 2^-q x, the bottom piece last) and
+def _geometry(
+    ns: tuple[int, ...], below: int | None, pieces: int, em: int, lfm: float, eu: int, lfu: float
+) -> _Geometry:
+    """The geometry of a step of the chain for the runs at the node counts
+    ns side by side: psi_{j-1} on pieces + 1 pieces (the nodes w' = 2^-q x,
+    the bottom piece last; on each piece the columns of _columns(ns)) and
     psi_j on below + 1 pieces (None at the first step, which interpolates
     nothing), with m_j / U_{j-1} = 2^em e^lfm and U_j / U_{j-1} = 2^eu e^lfu.
 
     The point phi(w') = 2^-(q - eu) e^lt, lt = lfu + log x - lz, lies on
     psi_j's piece i, where it is x^ in [-1, 1], and the basis is
-    T_0, ..., T_{n-1} at x^.  A geometry of (pieces + 1) n (n + 2) elements
-    at most the cap of _GEOMETRY is stored there and kept read-only; a
-    larger one is built for its run alone and yields its basis block by
-    block.
+    T_0, ..., T_{w-1} at x^, w = max(ns), for a point of every run: the
+    coefficients of a run at n < w nodes are 0 from T_n on (_antiderivative).
+    A geometry of (pieces + 1) sum(ns) (w + 2) elements at most the cap of
+    _GEOMETRY is stored there and kept read-only; a larger one is built for
+    its pass alone and yields its basis block by block.
     """
-    key = n, below, pieces, em, lfm, eu, lfu
+    key = ns, below, pieces, em, lfm, eu, lfu
     hit = _GEOMETRY.get(key)
     if hit is not None:
         return hit
-    nodes, _ = _chebyshev(n)
-    x = 0.5 + 0.5 * nodes
+    x, run, _ = _columns(ns)
+    width = max(ns)
     q = np.arange(1.0, pieces + 2)[:, None]  # w' = 2^-q x, one row per piece, the bottom piece last
     q[-1] = pieces
-    lx = np.empty((pieces + 1, n))
+    lx = np.empty((pieces + 1, x.size))
     lx[:-1], lx[-1] = np.log1p(x), np.log(x)
     lz = np.logaddexp(0.0, (em - q) * _LOG2 + (lfm + lx))
     if below is None:
@@ -303,10 +354,10 @@ def _geometry(n: int, below: int | None, pieces: int, em: int, lfm: float, eu: i
         graded = i < below
         # x^ maps phi(w') 2^(i+1) on a graded piece, phi(w') 2^P on the bottom one, to [-1, 1]
         xhat = (2.0 * np.exp(lt + (i + graded - shift) * _LOG2) - np.where(graded, 3.0, 1.0)).ravel()
-        piece = i.astype(int).ravel()
-    rows = max(1, _BLOCK // n)
-    blocks = ((slice(a, a + rows), _basis(xhat[a : a + rows], n)) for a in range(0, xhat.size, rows))
-    geometry = _Geometry(lz.ravel(), piece, blocks, lz.size + piece.size * (n + 1))
+        piece = (i.astype(int) * len(ns) + run).ravel()
+    rows = max(1, _BLOCK // width)
+    blocks = ((slice(a, a + rows), _basis(xhat[a : a + rows], width)) for a in range(0, xhat.size, rows))
+    geometry = _Geometry(lz.ravel(), piece, blocks, lz.size + piece.size * (width + 1))
     if geometry.size > _GEOMETRY.cap:
         return geometry
     geometry = geometry._replace(blocks=tuple(blocks))
@@ -350,88 +401,103 @@ def _chain_plan(t: ShiftedCMZV) -> tuple[list, float, float, float]:
     return steps, -math.log(k[-1] - 1), lead, size + 2.0 * abs(lead)
 
 
-def _chain(plan: tuple, n: int) -> tuple[float, int, float]:
-    """One run of the chain at n nodes per piece: (value, node values of psi
-    formed, rounding allowance of the value).
+def _chain(plan: tuple, ns: tuple[int, ...]) -> list[_Run]:
+    """One pass of the chain for the runs at the node counts ns side by side
+    (_doubling asks for 8 and 16, then for 32 and for 64 alone): per run,
+    (value, node values of psi formed, rounding allowance of the value).
 
     Each step reaches its nodes w' = 2^-q x and the points phi(w') =
     2^-(q - e_u) e^lt in logarithms whose powers of 2 stay integers, so
     log(1 + m_j w' / U_{j-1}) is formed without cancelling large logs.
-    Those points depend on the step's shape alone and come from the
-    geometry memo (_geometry); the run itself does only the work that
-    depends on psi: per step, a gather of B's coefficients at the points'
-    pieces, one product with the stored basis, a log, and the next
-    antiderivative (_interpolate, _antiderivative).  The
-    relative allowance is twice, in units of 2^-53, n + 16 per step for the
-    rounding of the matrix products and interpolants (whose Lebesgue
-    constants stay below 4 at n <= 64), plus the sizes of the logarithms
-    formed: the scales of psi, (weight + sigma + 2) log(U_j / U_{j-1}) for
-    the points phi(w') (B moves by at most weight times their relative
-    error) and psi's factor, the powers of 2 of the pieces, and the final
-    factor and log B_1(1).  Measured against mpmath at n = 32 and 64, over
-    depth-2 targets with bounds from 1e-300 to 1e300 and the depth-3
+    Those points depend on the step's shape and ns alone and come from the
+    geometry memo (_geometry); the pass itself does only the work that
+    depends on psi, for every run at once: per step, a gather of B's
+    coefficients at the points' pieces, one product with the stored basis,
+    a log, and the next antiderivative (_interpolate, _antiderivative).
+    The runs share those array calls and nothing else: each keeps its own
+    columns, scales, B-recursion, value and allowance, and the zero blocks
+    of the step matrices keep them apart (a NaN reaches the other runs
+    through them, and fails the call as it would alone).  The relative
+    allowance of a run at n nodes is twice, in units of 2^-53, n + 16 per
+    step for the rounding of the matrix products and interpolants (whose
+    Lebesgue constants stay below 4 at n <= 64), plus the sizes of the
+    logarithms formed: the scales of psi, (weight + sigma + 2) log(U_j /
+    U_{j-1}) for the points phi(w') (B moves by at most weight times their
+    relative error) and psi's factor, the powers of 2 of the pieces, and the
+    final factor and log B_1(1).  Measured against mpmath at n = 32 and 64,
+    over depth-2 targets with bounds from 1e-300 to 1e300 and the depth-3
     generators, the rounding error stayed below a sixth of it.
     """
     steps, log_b, lead, size = plan
-    formed = 0
-    below = None
+    sizes, nodes, below = [size] * len(ns), 0, None
     # _in_float_range reports an infinite value, and _antiderivative a B <= 0
     # or NaN (the log of an interpolant that oscillates below 0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for pieces, em, lfm, eu, lfu, sigma, p in steps:
-            geometry = _geometry(n, below, pieces, em, lfm, eu, lfu)
+            geometry = _geometry(ns, below, pieces, em, lfm, eu, lfu)
             lpsi = -sigma * geometry.lz
             lpsi += log_b if below is None else _interpolate(scale, coeffs, geometry)
-            scale, coeffs, log_b = _antiderivative(lpsi.reshape(pieces + 1, n), p)
+            scale, coeffs, log_b = _antiderivative(lpsi.reshape(pieces + 1, -1), p, ns)
             below = pieces
-            formed += lpsi.size
-            size += n + 16 + float(np.abs(scale).max())
-        log_value = lead + log_b
-        size += abs(log_value)
-        value = float(np.exp(log_value))
-    return value, formed, 2.0 * size * _EPS * value
+            nodes += pieces + 1
+            tops = np.abs(scale).max(axis=0).tolist()
+            sizes = [s + (n + 16 + top) for s, n, top in zip(sizes, ns, tops)]
+        runs = []
+        for n, s, lb in zip(ns, sizes, log_b):
+            log_value = lead + lb
+            value = float(np.exp(log_value))
+            runs.append((value, nodes * n, 2.0 * (s + abs(log_value)) * _EPS * value))
+    return runs
 
 
-def _antiderivative(lpsi: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """B(t) = int_0^1 s^p psi(t s) ds on psi's pieces, from log psi at the
-    nodes (one row per piece, the bottom piece last): (scale, coeffs,
-    log B(1)), with B = e^scale[i] sum_m coeffs[i, m] T_m on piece i.
+def _antiderivative(lpsi: np.ndarray, p: int, ns: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """B(t) = int_0^1 s^p psi(t s) ds on psi's pieces for the runs at the
+    node counts ns side by side, from log psi at the nodes (one row per
+    piece, the bottom piece last; the columns of _columns(ns)): (scale,
+    coeffs, log B(1) of each run), with B = e^scale[i, b] sum_m
+    coeffs[i len(ns) + b, m] T_m on piece i of run b, m < max(ns); the
+    coefficients of run b are 0 from m = n_b on, and the last column of
+    coeffs holds F(2), which _interpolate leaves out.
 
-    beta_i = B(2^-i) e^-scale[i] runs from the bottom piece up: B(2a) =
-    B(a) 2^-(p+1) + e^scale F(2), each term positive (_step).  DomainError
-    if B(1) is not positive, which only an interpolant that oscillated below
-    0 gives (ROADMAP item 2).
+    beta_i = B(2^-i) e^-scale[i] runs from the bottom piece up, in each run
+    alone: B(2a) = B(a) 2^-(p+1) + e^scale F(2), each term positive (_step,
+    _steps).  DomainError if B(1) is not positive in any run, which only an
+    interpolant that oscillated below 0 gives (ROADMAP item 2).
     """
-    pieces, n = lpsi.shape[0] - 1, lpsi.shape[1]
-    graded, bottom, edge = _step(n, p)
-    scale = lpsi.max(axis=1)
-    y = np.exp(lpsi - scale[:, None])
-    coeffs = np.empty_like(y)
-    low = bottom @ y[-1]
-    coeffs[-1] = low[:n]
-    up = y[:-1] @ graded.T
-    rise = np.exp(scale[1:] - scale[:-1]).tolist()  # e^(scale[i+1] - scale[i])
-    tops = up[:, n].tolist()
+    graded, bottom, edge = _steps(ns, p)
+    _, run, firsts = _columns(ns)
+    pieces, span = lpsi.shape[0] - 1, max(ns) + 1
+    scale = np.maximum.reduceat(lpsi, firsts, axis=1)
+    y = np.exp(lpsi - scale[:, run])
+    coeffs = np.empty((pieces + 1, edge.shape[1]))
+    np.matmul(y[:-1], graded.T, out=coeffs[:-1])
+    np.matmul(bottom, y[-1], out=coeffs[-1])
+    tops = coeffs[:, span - 1 :: span].T.tolist()  # per run: e^-scale F(2) on the graded pieces, beta_P last
+    rises = np.exp(scale[1:] - scale[:-1]).T.tolist()  # per run: e^(scale[i+1] - scale[i])
     half = 0.5 ** (p + 1)
-    beta, carried = float(low[n]), [0.0] * pieces
-    for i in range(pieces - 1, -1, -1):
-        carried[i] = beta * rise[i]  # B(2^-(i+1)) e^-scale[i]
-        beta = carried[i] * half + tops[i]
-    coeffs[:-1] = up[:, :n] + np.multiply.outer(carried, edge)
-    if not beta > 0.0:  # or NaN: an interpolant of this step or the last oscillated below 0
+    carried, betas = [], []
+    for top, rise in zip(tops, rises):
+        beta, carry = top[-1], rise  # carry[i] becomes B(2^-(i+1)) e^-scale[i]
+        for i in range(pieces - 1, -1, -1):
+            carry[i] *= beta
+            beta = carry[i] * half + top[i]
+        carried.append(carry)
+        betas.append(beta)
+    coeffs[:-1] += np.array(carried).T @ edge
+    if not all(beta > 0.0 for beta in betas):  # or NaN: an interpolant of this step or the last oscillated below 0
         raise DomainError("the chain's interpolant went nonpositive: the exponents vary too fast across its pieces")
-    return scale, coeffs, float(scale[0]) + math.log(beta)
+    return scale, coeffs.reshape(-1, span), [s + math.log(beta) for s, beta in zip(scale[0].tolist(), betas)]
 
 
 def _interpolate(scale: np.ndarray, coeffs: np.ndarray, geometry: _Geometry) -> np.ndarray:
     """log B at the points phi(w') of geometry from its pieces (scale, coeffs
     of _antiderivative), one block of the basis at a time."""
-    piece = geometry.piece
+    piece, coeffs = geometry.piece, coeffs[:, :-1]
     out = np.empty(piece.shape)
-    for block, basis in geometry.blocks:
-        out[block] = (basis * coeffs[piece[block]]).sum(axis=1)
+    for rows, basis in geometry.blocks:
+        out[rows] = np.einsum("ij,ij->i", basis, coeffs.take(piece[rows], axis=0))
     np.log(out, out=out)
-    out += scale[piece]
+    out += scale.ravel()[piece]
     return out
 
 
@@ -448,7 +514,8 @@ def eval_numeric(
     rounded once, with estimate 0 if the float is exact and its ulp
     otherwise (a subnormal value too).  Depth r >= 2 runs the chain of the
     module docstring under the doubling driver: r - 1 one-variable steps
-    per run, n = 8, 16, ... up to 64 nodes per piece.  The estimate is
+    per run, n = 8, 16, ... up to 64 nodes per piece, the runs at 8 and 16
+    in one pass that shares their array calls.  The estimate is
     |v_2n - v_n| plus the rounding allowance of v_2n, which grows with n,
     the depth and the sizes of the logarithms the run formed (_chain), and
     `evaluations` counts the node values of psi formed over every run.  The
@@ -457,6 +524,8 @@ def eval_numeric(
     Depths >= 2 need every lower bound in [1e-300, 1e300], and a value that
     is a finite normal float (_in_float_range); DomainError otherwise, and
     also if any run forms a B that is not positive (_antiderivative).  The
+    bound range is checked on each bound's numerator and denominator, in
+    integers, with both edges admitted.  The
     step matrices take 64 + weight - r - 1 Fejer points at most (_step),
     and a target that needs more than _MAX_FEJER = 4,096 raises
     CapacityError.
@@ -477,12 +546,13 @@ def eval_numeric(
             raise DomainError("the value exceeds the float range of the numeric route") from None
         error = 0.0 if Fraction(value) == exact else math.ulp(value)
         return NumericResult(value, error, 0, error <= tol)
-    if not all(_MIN_BOUND <= b <= _MAX_BOUND for b in t.bounds):
+    big = _BOUND_RANGE  # b = a / d, d > 0, lies in [1 / big, big] iff d <= a big and a <= d big
+    if not all(b.denominator <= b.numerator * big and b.numerator <= b.denominator * big for b in t.bounds):
         raise DomainError("a lower bound lies outside [1e-300, 1e300], the range of the numeric route")
 
     def run(tol: float) -> NumericResult:
         plan = _chain_plan(t)
-        return _in_float_range(_doubling(lambda n: _chain(plan, n), tol))
+        return _in_float_range(_doubling(lambda ns: _chain(plan, ns), tol))
 
     return _memoized((t.bounds, k), tol, run)
 
@@ -615,7 +685,7 @@ def eval_unit_cube_ones(r: int, tol: float | None = None, depth_cap: int = DEFAU
             f = step @ f
         return float(f[-1]), (r - 1) * n * n, (r - 1) * n * _CUBE_ROUND
 
-    return _memoized(("cube", r), tol, lambda tol: _doubling(run, tol))
+    return _memoized(("cube", r), tol, lambda tol: _doubling(_each(run), tol))
 
 
 # The exp-sinh rule of integrate_semi_infinite.
@@ -677,7 +747,7 @@ def integrate_semi_infinite(
     if not math.isfinite(lower):
         raise DomainError(f"the lower bound must be finite, got {lower}")
     tol = _tolerance(tol, 1)
-    result = _doubling(lambda n: _adaptive_unit(f, lower, n, tol / 16), tol)
+    result = _doubling(_each(lambda n: _adaptive_unit(f, lower, n, tol / 16)), tol)
     if result.value == 0.0 and result.error_estimate == 0.0:
         raise DomainError("every integrand value was 0: the integral underflowed or is 0, which the rule cannot tell")
     return result

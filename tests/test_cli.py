@@ -338,6 +338,14 @@ def test_sumformula_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sumformula_past_the_term_cap_exits_promptly(capsys):
+    # C(199, 4) = 63,391,251 terms were once built in one tuple before any check
+    start = time.perf_counter()
+    assert main(["sumformula", "5", "200"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "63391251 terms" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- poles
 
 

@@ -1,13 +1,15 @@
 """The averaging operator on span{1/(x+n)^l} and the exact sum formulas."""
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from cmzv import etaspace
 from cmzv.compositions import Composition, compositions_of
-from cmzv.errors import DomainError
+from cmzv.errors import CapacityError, DomainError
 from cmzv.etaspace import (
     VElement,
     composition_weight,
@@ -184,3 +186,12 @@ def test_lhs_terms_at_large_weight_are_quick():
     terms = sum_formula_lhs_terms(2, 60)
     assert time.perf_counter() - start < 0.5
     assert [c.parts for c, _ in terms] == [(j, 61 - j) for j in range(1, 60)]
+
+
+def test_lhs_terms_past_the_cap_raise_before_building():
+    # (12, 24), 1,352,078 terms, is the largest run reported and stays admitted
+    assert math.comb(23, 11) <= etaspace._MAX_LHS_TERMS < math.comb(199, 4)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="63391251 terms"):
+        sum_formula_lhs_terms(5, 200)
+    assert time.perf_counter() - start < 0.5

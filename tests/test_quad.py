@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from cmzv import quad
-from cmzv.compositions import Composition, admissible_compositions, convergence_bound
+from cmzv.compositions import Composition, admissible_compositions, admissible_target, convergence_bound
 from cmzv.errors import CapacityError, DivergenceError, DomainError
+from cmzv.etaspace import sum_formula_lhs_terms
 from cmzv.memo import Memo
 from cmzv.quad import (
     ShiftedCMZV,
@@ -68,7 +69,13 @@ def test_value_outside_float_range_is_domain_error(target, message):
 
 @pytest.mark.parametrize(
     "bounds",
-    [(Fraction("1e-450"), Fraction("1e250")), (1, Fraction("1e301")), (Fraction("1e-301"), 1, 1)],
+    [
+        (Fraction("1e-450"), Fraction("1e250")),
+        (1, Fraction("1e301")),
+        (Fraction("1e-301"), 1, 1),
+        (1, Fraction(10**300) + Fraction(1, 10**9)),  # just above the upper edge
+        (Fraction(1, 10**300) - Fraction(1, 10**310), 1),  # just below the lower edge
+    ],
 )
 def test_bound_outside_numeric_range_is_domain_error(bounds):
     # the true zeta_{1e-450,1e250}(1,2) is log1p(1e700)/1e250 = 1.612e-247
@@ -139,8 +146,8 @@ def test_a_nonpositive_interpolant_in_any_run_fails_the_call(monkeypatch):
 
     def first_run_oscillates(scale, coeffs, geometry):
         out = interpolate(scale, coeffs, geometry)
-        if coeffs.shape[1] == 8:
-            out[0] = math.nan  # the log of an interpolated B below 0
+        if scale.shape[1] == 2:  # the pass of n = 8 and 16; its run 0 is n = 8
+            out[np.flatnonzero(geometry.piece % 2 == 0)[0]] = math.nan  # the log of an interpolated B below 0
         return out
 
     monkeypatch.setattr(quad, "_interpolate", first_run_oscillates)
@@ -286,9 +293,9 @@ def _count_runs(monkeypatch) -> list:
     calls = []
     chain = quad._chain
 
-    def counted(plan, n):
-        calls.append(n)
-        return chain(plan, n)
+    def counted(plan, ns):
+        calls.extend(ns)
+        return chain(plan, ns)
 
     monkeypatch.setattr(quad, "_chain", counted)
     return calls
@@ -457,6 +464,35 @@ def test_nested_engine_pinned_table(kind, arg, bounds, tol, value, error, evalua
     assert res.error_estimate <= tol
     assert abs(res.value - value) <= res.error_estimate + error
     assert res.evaluations == evaluations
+
+
+# The chain targets of _PINNED, and the 20 depth-4 sum-formula terms of the
+# benchmark's numeric workload (weight 7, per-term tolerance 4.76e-9).
+_FUSED = [ShiftedCMZV(b, arg) if b else Composition(arg) for kind, arg, b, *_ in _PINNED if kind == "semi"]
+_FUSED += [c for c, _ in sum_formula_lhs_terms(4, 7)]
+
+
+@pytest.mark.parametrize("target", _FUSED, ids=str)
+def test_fused_pass_agrees_with_a_run_per_node_count(target):
+    # n = 8 and 16 share one pass; each run keeps its own value, count and allowance
+    plan = quad._chain_plan(admissible_target(target, 6))
+    for n, (value, evaluations, allowance) in zip((8, 16), quad._chain(plan, (8, 16))):
+        ((alone, count, own),) = quad._chain(plan, (n,))
+        assert evaluations == count, n
+        assert abs(value - alone) <= own, n
+        assert abs(allowance - own) <= 1e-9 * own, n
+
+
+def test_runs_take_8_and_16_then_double(monkeypatch):
+    runs = _count_runs(monkeypatch)
+    quad.clear_caches()
+    assert eval_numeric(Composition((1, 1, 2)), tol=1e-6).converged
+    assert runs == [8, 16]
+    runs.clear()
+    quad.clear_caches()
+    eval_numeric((1, 56), 1e-300)  # reaches the node cap
+    assert runs == [8, 16, 32, 64]
+    quad.clear_caches()
 
 
 def test_depth2_is_one_closed_form_evaluation():
