@@ -51,7 +51,7 @@ tuple of node counts.  clear_caches drops the results alone.
 All three routes run under one doubling driver (_doubling), with one stop
 rule and one estimate form.  A run at n nodes returns its value, its
 evaluations, and an allowance for what the difference of two runs does not
-see: rounding, plus the end tails of the exp-sinh rule.  The driver asks a
+see: rounding, plus the end tails of the exp-sinh rule.  _doubling asks a
 route for the runs at n = 8 and 16 in one call, then for 32 and 64 one at
 a time, and returns v_2n with the estimate |v_2n - v_n| + the allowance of
 v_2n once that is <= tol; it stops unconverged once the difference is
@@ -183,8 +183,8 @@ _Run = tuple[float, int, float]  # one run: (value, evaluations, allowance)
 
 def _doubling(runs: Callable[[tuple[int, ...]], list[_Run]], tol: float) -> NumericResult:
     """runs(ns) -> one run (value, evaluations, allowance) per node count in
-    ns.  The driver asks for n = 8 and 16 in one call, then for 32, 64, ...
-    one at a time, until |v_2n - v_n| + the allowance of v_2n is <= tol
+    ns.  It asks for n = 8 and 16 in one call, then for 32, 64, ... one
+    at a time, until |v_2n - v_n| + the allowance of v_2n is <= tol
     (converged), the difference is within the allowance, or n = _MAX_NODES;
     returns v_2n with that estimate and the evaluations of every run.  The
     allowance is the run's rounding, plus its end tails for the exp-sinh
